@@ -125,96 +125,57 @@ fn main() {
         // Experiments report failures (unwritable results dir, no feasible
         // parallel config, ...) instead of panicking; the first failure
         // stops the run and becomes a nonzero exit below.
-        let mut exp =
-            |name: &str, span_name: &'static str, f: &mut dyn FnMut() -> Result<(), String>| {
-                if (what == "all" || what == name) && failed.is_none() {
-                    let sp = telemetry::enabled().then(|| telemetry::span(span_name));
-                    if let Err(e) = f() {
-                        failed = Some(format!("{name}: {e}"));
-                    }
-                    drop(sp);
-                    ran = true;
-                }
-            };
-        exp("fig1", "repro.fig1", &mut || fig1(quick));
-        exp("fig2", "repro.fig2", &mut fig2);
-        exp("fig3", "repro.fig3", &mut fig3);
-        exp("fig4", "repro.fig4", &mut || fig4(quick));
-        exp("fig5", "repro.fig5", &mut fig5);
-        exp("fig6", "repro.fig6", &mut || {
-            fig6_7("fig6", &[(GPT3_XL, 64, 512), (GPT3_2_7B, 64, 512)])
-        });
-        exp("fig7", "repro.fig7", &mut || {
-            fig6_7("fig7", &[(GPT3_6_7B, 128, 1024), (GPT3_13B, 256, 2048)])
-        });
-        exp("fig8", "repro.fig8", &mut fig8);
-        exp("table1", "repro.table1", &mut table1);
-        exp("table2", "repro.table2", &mut table2);
-        exp("memory", "repro.memory", &mut memory_headline);
-        exp("ablation", "repro.ablation", &mut ablation);
-        exp("sensitivity", "repro.sensitivity", &mut sensitivity);
-        exp("scorecard", "repro.scorecard", &mut scorecard);
-        exp("cnn", "repro.cnn", &mut || cnn_accuracy(quick));
-        exp("memorymap", "repro.memorymap", &mut memorymap);
-        exp("faults", "repro.faults", &mut || faults(quick));
-        // `bench` and `comms` are deliberately not part of `all`: they
-        // are perf trackers, not paper experiments, and write into the
+        //
+        // Every subcommand: name, telemetry span, whether `all` runs it,
+        // and the experiment. The perf trackers are deliberately not part
+        // of `all`: they are not paper experiments, and write into the
         // repo root rather than `results/`.
-        if what == "bench" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.bench"));
-            if let Err(e) = bench::hotpaths::run(quick) {
-                failed = Some(format!("bench: {e}"));
+        type Run<'a> = Box<dyn FnMut() -> Result<(), String> + 'a>;
+        let mut experiments: Vec<(&str, &'static str, bool, Run)> = vec![
+            ("fig1", "repro.fig1", true, Box::new(|| fig1(quick))),
+            ("fig2", "repro.fig2", true, Box::new(fig2)),
+            ("fig3", "repro.fig3", true, Box::new(fig3)),
+            ("fig4", "repro.fig4", true, Box::new(|| fig4(quick))),
+            ("fig5", "repro.fig5", true, Box::new(fig5)),
+            (
+                "fig6",
+                "repro.fig6",
+                true,
+                Box::new(|| fig6_7("fig6", &[(GPT3_XL, 64, 512), (GPT3_2_7B, 64, 512)])),
+            ),
+            (
+                "fig7",
+                "repro.fig7",
+                true,
+                Box::new(|| fig6_7("fig7", &[(GPT3_6_7B, 128, 1024), (GPT3_13B, 256, 2048)])),
+            ),
+            ("fig8", "repro.fig8", true, Box::new(fig8)),
+            ("table1", "repro.table1", true, Box::new(table1)),
+            ("table2", "repro.table2", true, Box::new(table2)),
+            ("memory", "repro.memory", true, Box::new(memory_headline)),
+            ("ablation", "repro.ablation", true, Box::new(ablation)),
+            ("sensitivity", "repro.sensitivity", true, Box::new(sensitivity)),
+            ("scorecard", "repro.scorecard", true, Box::new(scorecard)),
+            ("cnn", "repro.cnn", true, Box::new(|| cnn_accuracy(quick))),
+            ("memorymap", "repro.memorymap", true, Box::new(memorymap)),
+            ("faults", "repro.faults", true, Box::new(|| faults(quick))),
+            ("bench", "repro.bench", false, Box::new(|| bench::hotpaths::run(quick))),
+            ("comms", "repro.comms", false, Box::new(|| bench::comms_bench::run(quick))),
+            ("tcp", "repro.tcp", false, Box::new(|| bench::tcp_bench::run(quick))),
+            ("simd", "repro.simd", false, Box::new(|| bench::simd_bench::run(quick))),
+            ("pipeline", "repro.pipeline", false, Box::new(|| bench::pipeline_bench::run(quick))),
+            ("serve", "repro.serve", false, Box::new(|| bench::serve_bench::run(quick))),
+            ("dynamic", "repro.dynamic", false, Box::new(|| bench::dynamic_bench::run(quick))),
+        ];
+        for (name, span_name, in_all, run) in &mut experiments {
+            if (what == *name || (what == "all" && *in_all)) && failed.is_none() {
+                let sp = telemetry::enabled().then(|| telemetry::span(span_name));
+                if let Err(e) = run() {
+                    failed = Some(format!("{name}: {e}"));
+                }
+                drop(sp);
+                ran = true;
             }
-            drop(sp);
-            ran = true;
-        }
-        if what == "comms" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.comms"));
-            if let Err(e) = bench::comms_bench::run(quick) {
-                failed = Some(format!("comms: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "tcp" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.tcp"));
-            if let Err(e) = bench::tcp_bench::run(quick) {
-                failed = Some(format!("tcp: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "simd" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.simd"));
-            if let Err(e) = bench::simd_bench::run(quick) {
-                failed = Some(format!("simd: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "pipeline" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.pipeline"));
-            if let Err(e) = bench::pipeline_bench::run(quick) {
-                failed = Some(format!("pipeline: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "serve" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.serve"));
-            if let Err(e) = bench::serve_bench::run(quick) {
-                failed = Some(format!("serve: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "dynamic" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.dynamic"));
-            if let Err(e) = bench::dynamic_bench::run(quick) {
-                failed = Some(format!("dynamic: {e}"));
-            }
-            drop(sp);
-            ran = true;
         }
         if what == "trace-analyze" && failed.is_none() {
             let Some(input) = positionals.get(1) else {
@@ -226,12 +187,19 @@ fn main() {
             }
             ran = true;
         }
-    }
-    if !ran {
-        eprintln!(
-            "unknown experiment '{what}'. Choose from: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 table2 memory ablation sensitivity scorecard cnn memorymap faults all bench comms tcp simd pipeline serve dynamic trace-analyze"
-        );
-        std::process::exit(2);
+        if !ran {
+            let names = |in_all: bool| {
+                let names: Vec<&str> =
+                    experiments.iter().filter(|e| e.2 == in_all).map(|e| e.0).collect();
+                names.join(" ")
+            };
+            eprintln!(
+                "unknown experiment '{what}'. Choose from: {} all {} trace-analyze",
+                names(true),
+                names(false)
+            );
+            std::process::exit(2);
+        }
     }
 
     // Flush and write the trace before deciding the exit code: a trace

@@ -2,8 +2,9 @@
 //!
 //! This is the function the chunked ring all-reduce must equal
 //! bit-for-bit (property-tested in `tests/ring_oracle.rs`), and the one
-//! `samo::trainer::allreduce_mean_f16` delegates to so the in-process
-//! `DataParallelSamo` and the threaded runtime compute the same bits.
+//! `samo::trainer::allreduce_mean_f16` delegates to. Fed to a
+//! single-process `SamoTrainer`, it is the data-parallel oracle the
+//! threaded runtime is checked against bit for bit.
 //!
 //! # Why exact summation buys determinism
 //!

@@ -145,6 +145,51 @@ pub trait Transport: Send {
     fn msgs_dropped(&self) -> u64;
 }
 
+/// A boxed endpoint is an endpoint, so a runtime can hold
+/// `Communicator<Box<dyn Transport>>` and accept any transport without
+/// carrying its type.
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn rank(&self) -> usize {
+        (**self).rank()
+    }
+
+    fn world(&self) -> usize {
+        (**self).world()
+    }
+
+    fn mesh_id(&self) -> u64 {
+        (**self).mesh_id()
+    }
+
+    fn send(&mut self, to: usize, msg: Message) -> Result<(), CommsError> {
+        (**self).send(to, msg)
+    }
+
+    fn recv_from(&mut self, from: usize, deadline: Instant) -> Result<Message, CommsError> {
+        (**self).recv_from(from, deadline)
+    }
+
+    fn try_recv_from(&mut self, from: usize) -> Result<Option<Message>, CommsError> {
+        (**self).try_recv_from(from)
+    }
+
+    fn drain(&mut self) {
+        (**self).drain()
+    }
+
+    fn bytes_sent(&self) -> u64 {
+        (**self).bytes_sent()
+    }
+
+    fn msgs_sent(&self) -> u64 {
+        (**self).msgs_sent()
+    }
+
+    fn msgs_dropped(&self) -> u64 {
+        (**self).msgs_dropped()
+    }
+}
+
 /// In-process mesh endpoint: one `mpsc` channel per directed link.
 pub struct InProcTransport {
     rank: usize,

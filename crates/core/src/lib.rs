@@ -14,10 +14,18 @@
 //!   accounting,
 //! * [`state`] — [`state::SamoLayerState`], the per-layer compressed
 //!   mixed-precision model state and its three-phase optimizer step,
-//! * [`trainer`] — whole-model SAMO training, the dense masked baseline
+//! * [`trainer`] — whole-model SAMO training (the one unsharded step:
+//!   remap → compress → verdict → optimizer), the dense masked baseline
 //!   it is numerically equivalent to, and the compressed all-reduce,
-//! * [`checkpoint`] — durable on-disk checkpointing (atomic writes,
-//!   CRC-validated v2 format, cadence + retention),
+//! * [`dist`] — [`DistDataParallel`], the trainer plus a cross-process
+//!   communicator (the `samo-launch` runtime),
+//! * [`sharded`] — ZeRO-style sharding of the compressed state,
+//! * [`threaded`] / [`pipeline`] — thread-per-rank data-parallel and
+//!   hybrid pipeline runtimes, sharing one sharded rank core and one
+//!   rank-thread host,
+//! * [`serialize`] / [`checkpoint`] — the CRC-validated v2 checkpoint
+//!   format and durable on-disk checkpointing (atomic writes, cadence +
+//!   retention),
 //! * [`sentinel`] — divergence detection driving checkpoint rollback.
 
 //! ```
@@ -38,10 +46,10 @@
 
 pub mod checkpoint;
 pub mod compressed;
-pub mod data_parallel;
 pub mod dist;
 pub mod memory;
 pub mod pipeline;
+mod rank;
 pub mod sentinel;
 pub mod serialize;
 pub mod sharded;
@@ -55,7 +63,6 @@ pub use checkpoint::{
 };
 pub use compressed::{compress_f16, compress_f32, expand_f16, expand_f32};
 pub use memory::{m_default_bytes, m_samo_bytes, samo_savings_fraction, SamoBreakdown};
-pub use data_parallel::DataParallelSamo;
 pub use dist::DistDataParallel;
 pub use pipeline::{PipelineConfig, StageStats, ThreadedPipelineSamo};
 pub use sentinel::{DivergenceSentinel, SentinelConfig, Verdict};

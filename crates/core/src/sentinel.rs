@@ -5,7 +5,7 @@
 //! gradient norm exploding over many consecutive steps, or going
 //! non-finite and staying there — needs a stronger response: roll back
 //! to the last good checkpoint and retry with a gentler loss scale
-//! (`SamoTrainer::rollback` / `DataParallelSamo::restore`). This module
+//! (`SamoTrainer::rollback`, or `restore` on a threaded group). This module
 //! is the detector; it owns no recovery policy itself, it just converts
 //! a stream of (loss, grad-norm) observations into a [`Verdict`].
 //!

@@ -19,7 +19,9 @@
 
 use crate::state::SamoLayerState;
 use bytes::{BufMut, Bytes, BytesMut};
+use nn::layer::Layer;
 use nn::mixed::{OptState, Optimizer};
+use nn::param::Parameter;
 use nn::optim::{AdamState, SgdState};
 use prune::Mask;
 use tensor::f16::F16;
@@ -370,6 +372,64 @@ pub fn load_checkpoint(
 /// trainer meta. The optimizer kind must match what was saved.
 pub fn load_layers(buf: &[u8], opt: &Optimizer) -> Result<Vec<SamoLayerState>, String> {
     load_checkpoint(buf, opt).map(|(layers, _)| layers)
+}
+
+/// A checkpoint parsed and checked against the trainer it restores into.
+pub(crate) struct Restore<'m> {
+    /// The trainer's own slice of the checkpoint's layers, in model order.
+    pub layers: Vec<SamoLayerState>,
+    pub meta: Option<TrainerMeta>,
+    /// The compute model's parameters, one per layer, sizes checked.
+    pub params: Vec<&'m mut Parameter>,
+}
+
+/// Parses `checkpoint` for a trainer that holds parameter tensors
+/// `off..off + masks.len()` of a `total`-tensor model and computes on
+/// `model`. Every structural mismatch is an `Err`: the checkpoint's
+/// tensor count, any mask shape, the model's tensor count, or any
+/// tensor's size.
+pub(crate) fn load_into<'a, 'm>(
+    checkpoint: &[u8],
+    opt: &Optimizer,
+    total: usize,
+    off: usize,
+    masks: impl ExactSizeIterator<Item = &'a Mask>,
+    model: &'m mut impl Layer,
+) -> Result<Restore<'m>, String> {
+    let (mut layers, meta) = load_checkpoint(checkpoint, opt)?;
+    if layers.len() != total {
+        return Err(format!(
+            "checkpoint has {} layers, trainer has {total}",
+            layers.len()
+        ));
+    }
+    let layers: Vec<SamoLayerState> = layers.drain(off..off + masks.len()).collect();
+    if masks
+        .zip(&layers)
+        .any(|(m, l)| m.shape() != l.mask().shape())
+    {
+        return Err("checkpoint mask shape mismatch".into());
+    }
+    let params = model.params_mut();
+    if params.len() != layers.len() {
+        return Err(format!(
+            "model has {} parameter tensors, checkpoint has {}",
+            params.len(),
+            layers.len()
+        ));
+    }
+    if let Some((p, _)) = params
+        .iter()
+        .zip(&layers)
+        .find(|(p, l)| p.numel() != l.numel())
+    {
+        return Err(format!("parameter {} size mismatch", p.name));
+    }
+    Ok(Restore {
+        layers,
+        meta,
+        params,
+    })
 }
 
 #[cfg(test)]

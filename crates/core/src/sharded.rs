@@ -22,6 +22,7 @@
 //! fp16 parameters are all-gathered and expanded into the dense `θ16`.
 
 use crate::compressed::{compress_f32, expand_f16_into};
+use crate::state::SamoLayerState;
 use nn::mixed::{OptState, Optimizer};
 use prune::Mask;
 use tensor::f16::F16;
@@ -66,27 +67,11 @@ impl ShardedSamoLayerState {
         shard_id: usize,
         num_shards: usize,
     ) -> ShardedSamoLayerState {
-        assert!(num_shards >= 1 && shard_id < num_shards);
         assert_eq!(values.len(), mask.numel());
-        let compressed = compress_f32(values, &mask);
-        let (lo, hi) = shard_bounds(compressed.len(), shard_id, num_shards);
-        // θ16 starts as the fp16 rounding of the full compressed params.
-        let temp16: Vec<F16> = compressed.iter().map(|&v| F16::from_f32(v)).collect();
-        let mut theta16 = vec![F16::ZERO; values.len()];
-        expand_f16_into(&temp16, &mask, &mut theta16);
-        let nnz = mask.nnz();
-        ShardedSamoLayerState {
-            theta32_shard: compressed[lo..hi].to_vec(),
-            grad32_shard: vec![0.0; hi - lo],
-            os_shard: OptState::new(opt, hi - lo),
-            grad16: vec![F16::ZERO; nnz],
-            theta16,
-            mask,
-            shard_id,
-            num_shards,
-            lo,
-            hi,
-        }
+        let theta32 = compress_f32(values, &mask);
+        let grad16 = vec![F16::ZERO; theta32.len()];
+        let os_shard = |lo: usize, hi: usize| OptState::new(opt, hi - lo);
+        Self::assemble(mask, &theta32, grad16, shard_id, num_shards, os_shard)
     }
 
     /// Rebuilds rank `shard_id`'s state from a *full* (unsharded)
@@ -94,23 +79,12 @@ impl ShardedSamoLayerState {
     /// recovery path when a rank is lost and must be reconstructed.
     /// Exactly inverts [`Self::to_full_layer`].
     pub fn from_full_layer(
-        full: &crate::state::SamoLayerState,
+        full: &SamoLayerState,
         opt: &Optimizer,
         shard_id: usize,
         num_shards: usize,
     ) -> ShardedSamoLayerState {
-        assert!(num_shards >= 1 && shard_id < num_shards);
-        let mask = full.mask().clone();
-        let nnz = mask.nnz();
-        assert_eq!(full.theta32.len(), nnz);
-        let (lo, hi) = shard_bounds(nnz, shard_id, num_shards);
-        // θ16 is reconstructed the same way install_gathered produces it
-        // on the surviving ranks: narrow θ32, expand — so a rebuilt rank
-        // is bitwise identical to one that never failed.
-        let temp16: Vec<F16> = full.theta32.iter().map(|&v| F16::from_f32(v)).collect();
-        let mut theta16 = vec![F16::ZERO; mask.numel()];
-        expand_f16_into(&temp16, &mask, &mut theta16);
-        let os_shard = match (&full.os, opt) {
+        let os_shard = |lo: usize, hi: usize| match (&full.os, opt) {
             (OptState::Adam(st), Optimizer::Adam(_)) => OptState::Adam(nn::optim::AdamState {
                 m: st.m[lo..hi].to_vec(),
                 v: st.v[lo..hi].to_vec(),
@@ -121,11 +95,34 @@ impl ShardedSamoLayerState {
             }),
             _ => panic!("optimizer state/config mismatch"),
         };
+        let (mask, grad16) = (full.mask().clone(), full.grad16.clone());
+        Self::assemble(mask, &full.theta32, grad16, shard_id, num_shards, os_shard)
+    }
+
+    /// Rank `shard_id`'s state over the full compressed `θ32`: its shard
+    /// of `θ32`, the optimizer state `os_shard(lo, hi)` for that shard,
+    /// and the dense θ16 every rank holds. θ16 is built the way
+    /// [`Self::install_gathered`] produces it — narrow θ32, expand — so a
+    /// rebuilt rank is bitwise identical to one that never failed.
+    fn assemble(
+        mask: Mask,
+        theta32: &[f32],
+        grad16: Vec<F16>,
+        shard_id: usize,
+        num_shards: usize,
+        os_shard: impl FnOnce(usize, usize) -> OptState,
+    ) -> ShardedSamoLayerState {
+        assert!(num_shards >= 1 && shard_id < num_shards);
+        assert_eq!(theta32.len(), mask.nnz());
+        let (lo, hi) = shard_bounds(theta32.len(), shard_id, num_shards);
+        let temp16: Vec<F16> = theta32.iter().map(|&v| F16::from_f32(v)).collect();
+        let mut theta16 = vec![F16::ZERO; mask.numel()];
+        expand_f16_into(&temp16, &mask, &mut theta16);
         ShardedSamoLayerState {
-            theta32_shard: full.theta32[lo..hi].to_vec(),
+            theta32_shard: theta32[lo..hi].to_vec(),
             grad32_shard: vec![0.0; hi - lo],
-            os_shard,
-            grad16: full.grad16.clone(),
+            os_shard: os_shard(lo, hi),
+            grad16,
             theta16,
             mask,
             shard_id,
@@ -139,14 +136,11 @@ impl ShardedSamoLayerState {
     /// parameter from every rank's shard, for checkpointing: the shards
     /// are contiguous and partition the compressed space, so
     /// concatenation recovers exactly the state an unsharded
-    /// [`crate::state::SamoLayerState`] would hold.
+    /// [`SamoLayerState`] would hold.
     ///
     /// `ranks` must hold one state per rank, in rank order, all for the
     /// same parameter tensor.
-    pub fn to_full_layer(
-        ranks: &[&ShardedSamoLayerState],
-        opt: &Optimizer,
-    ) -> crate::state::SamoLayerState {
+    pub fn to_full_layer(ranks: &[&ShardedSamoLayerState], opt: &Optimizer) -> SamoLayerState {
         assert!(!ranks.is_empty(), "need at least one shard");
         let first = ranks[0];
         assert_eq!(ranks.len(), first.num_shards, "one state per rank");
@@ -170,12 +164,7 @@ impl ShardedSamoLayerState {
                 _ => panic!("optimizer state/config mismatch"),
             }
         }
-        crate::state::SamoLayerState::from_parts(
-            first.mask.clone(),
-            theta32,
-            first.grad16.clone(),
-            os,
-        )
+        SamoLayerState::from_parts(first.mask.clone(), theta32, first.grad16.clone(), os)
     }
 
     /// This rank's shard bounds within the compressed space.
@@ -196,16 +185,6 @@ impl ShardedSamoLayerState {
     /// The pruning mask (shared structure across all ranks).
     pub fn mask(&self) -> &Mask {
         &self.mask
-    }
-
-    /// Rank index.
-    pub fn shard_id(&self) -> usize {
-        self.shard_id
-    }
-
-    /// Total number of ranks the state is sharded across.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
     }
 
     /// Compresses a dense (loss-scaled) fp32 gradient into `∇θ16`.
@@ -237,13 +216,6 @@ impl ShardedSamoLayerState {
     pub fn install_gathered(&mut self, full_compressed16: &[F16]) {
         assert_eq!(full_compressed16.len(), self.mask.nnz());
         expand_f16_into(full_compressed16, &self.mask, &mut self.theta16);
-    }
-
-    /// Dense fp32 view of the current parameters.
-    pub fn dense_f32_params(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.theta16.len()];
-        self.write_dense_f32_params_into(&mut out);
-        out
     }
 
     /// Writes the dense fp32 parameter view into an existing buffer

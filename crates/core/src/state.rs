@@ -120,13 +120,6 @@ impl SamoLayerState {
         }
     }
 
-    /// Accumulate a *compressed* fp32 gradient directly (used by the
-    /// data-parallel all-reduce path, which sums compressed tensors).
-    pub fn set_compressed_grad16(&mut self, compressed: &[F16]) {
-        assert_eq!(compressed.len(), self.nnz());
-        self.grad16.copy_from_slice(compressed);
-    }
-
     /// True if any stored fp16 gradient is non-finite (loss-scaler check).
     pub fn grads_non_finite(&self) -> bool {
         self.grad16.iter().any(|g| !g.is_finite())

@@ -1,26 +1,26 @@
 //! Thread-per-rank data-parallel SAMO training over the real
 //! message-passing collectives runtime in the `comms` crate.
 //!
-//! Where [`crate::data_parallel::DataParallelSamo`] loops over replicas
-//! inside one thread and reduces gradients with the sequential oracle,
-//! this runtime gives every rank its own OS thread owning its replica,
-//! sharded optimizer state, loss-scaler copy, and a
-//! [`comms::Communicator`] endpoint of an in-process mesh. Gradients
-//! move through the chunked **ring all-reduce**, and the reduction is
-//! started per parameter bucket from inside backward
-//! ([`Layer::backward_with_ready`]), so communication overlaps the rest
-//! of the backward pass exactly as on a real cluster.
+//! Every rank is its own OS thread owning its replica, its ZeRO shard
+//! of the compressed state, a loss-scaler copy, and a
+//! [`comms::Communicator`] endpoint of an in-process mesh (or any other
+//! [`Transport`]). Gradients move through the chunked **ring
+//! all-reduce**, and the reduction is started per parameter bucket from
+//! inside backward ([`Layer::backward_with_ready`]), so communication
+//! overlaps the rest of the backward pass exactly as on a real cluster.
+//! The rank core and thread host are shared with the pipeline runtime
+//! (`crate::rank`).
 //!
-//! # Bitwise equivalence with the in-process trainer
+//! # Bitwise equivalence with the single-process trainer
 //!
 //! The ring computes the same exact-f64-sum mean as
-//! [`comms::reference::allreduce_mean_f16`], which is also what the
-//! in-process trainer calls — so both runtimes take bitwise-identical
-//! optimizer steps from identical seeds, regardless of thread timing
-//! (`tests/data_parallel_threaded.rs` asserts this). Loss-scale
-//! decisions need no extra collective: every rank scans the *reduced*
-//! (identical) gradient bits, so every scaler replica reaches the same
-//! verdict independently.
+//! [`comms::reference::allreduce_mean_f16`], so a group takes the
+//! bitwise-identical optimizer steps a [`crate::SamoTrainer`] takes when
+//! fed that exact mean of the ranks' f16 gradients, regardless of
+//! thread timing (`tests/data_parallel_threaded.rs` asserts this on
+//! checkpoint bytes). Loss-scale decisions need no extra collective:
+//! every rank scans the *reduced* (identical) gradient bits, so every
+//! scaler replica reaches the same verdict independently.
 //!
 //! # Failure handling
 //!
@@ -31,24 +31,21 @@
 //! checkpoint on every rank, bumps the comms epoch (discarding stale
 //! in-flight traffic), and barriers the group back together.
 
+use crate::rank::{
+    assert_replicas_agree, MeshMetrics, RankCore, RankDuration, RankGroup, ShardedRank,
+};
 use crate::sharded::ShardedSamoLayerState;
 use crate::state::{RemapScratch, SamoLayerState};
-use crate::trainer::samo_ring_allreduce_bytes;
+use crate::trainer::{record_step_event, samo_ring_allreduce_bytes};
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::Layer;
-use nn::mixed::{LossScaler, LossScalerState, OptState, Optimizer};
+use nn::mixed::{LossScaler, OptState, Optimizer};
+use nn::optim::{AdamState, SgdState};
 use prune::{Mask, MaskSchedule};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tensor::f16::F16;
 use tensor::Tensor;
-
-/// The per-step work a rank thread runs before the collective phase:
-/// forward on this rank's batch, loss, and backward seed — returns the
-/// **scaled** output gradient `d(scale·loss)/d(output)` for backward.
-pub type StepFn<M> = Arc<dyn Fn(usize, &mut M, f32) -> Tensor + Send + Sync>;
 
 /// Per-rank transport statistics, via [`ThreadedDataParallelSamo::comm_stats`].
 #[derive(Debug, Clone, Copy)]
@@ -61,79 +58,50 @@ pub struct CommStats {
     pub msgs_dropped: u64,
 }
 
-type InspectFn<M> = Box<dyn FnOnce(&mut M, &Vec<ShardedSamoLayerState>) + Send>;
-
-enum Cmd<M> {
-    Step(StepFn<M>),
-    SetScaler(LossScaler),
-    SetSchedule(MaskSchedule),
-    Snapshot,
-    Restore(Arc<Vec<u8>>),
-    Inspect(InspectFn<M>),
-    Shutdown,
-}
-
-struct StepOutcome {
-    applied: bool,
-    finite: bool,
-    /// Total unpruned parameters after this step — refreshes the parent
-    /// mirror when a dynamic-sparsity remap changes the mask.
-    nnz: usize,
-}
-
-struct SnapshotData {
-    states: Vec<ShardedSamoLayerState>,
-    stats: CommStats,
-}
-
-enum Resp {
-    Step(Result<StepOutcome, CommsError>),
-    Snapshot(Box<SnapshotData>),
-    Restored(Result<(), String>),
-    Ack,
-}
-
-/// Everything one rank thread owns. Generic over the transport: the
-/// in-process mesh by default, loopback TCP endpoints when built via
-/// [`ThreadedDataParallelSamo::with_transports`].
-struct Rank<M: Layer, T: Transport> {
-    rank: usize,
+/// Everything one rank thread owns.
+struct Rank<M> {
     model: M,
-    states: Vec<ShardedSamoLayerState>,
-    opt: Optimizer,
-    scaler: LossScaler,
-    comm: Communicator<T>,
+    core: RankCore,
     schedule: Option<MaskSchedule>,
-    poisoned: bool,
-    steps_taken: u64,
-    steps_skipped: u64,
-    /// Rank 0 only: rolling per-rank step-duration stats
-    /// `(sum_us, samples)`, fed by the mesh-native telemetry relay.
-    rank_dur_stats: Vec<(f64, u64)>,
+    /// Rank 0 only: the `mesh_metrics` aggregation.
+    metrics: MeshMetrics,
 }
 
-impl<M: Layer, T: Transport> Rank<M, T> {
-    fn step(&mut self, f: &StepFn<M>) -> Result<StepOutcome, CommsError> {
-        if self.poisoned {
-            return Err(CommsError::Poisoned);
-        }
-        let res = self.step_inner(f);
-        self.poisoned |= res.is_err();
-        res
+impl<M: Layer + Send + 'static> ShardedRank for Rank<M> {
+    type Model = M;
+
+    fn parts(&mut self) -> (&mut M, &mut RankCore) {
+        (&mut self.model, &mut self.core)
     }
 
-    fn step_inner(&mut self, f: &StepFn<M>) -> Result<StepOutcome, CommsError> {
+    fn rejoin(&mut self) -> Result<(), String> {
+        let comm = &mut self.core.comm;
+        comm.bump_epoch();
+        comm.barrier()
+            .map_err(|e| format!("post-restore barrier failed: {e}"))?;
+        if telemetry::enabled() && comm.rank() == 0 {
+            telemetry::global()
+                .counter("samo.dp_threaded.recoveries")
+                .inc();
+        }
+        Ok(())
+    }
+}
+
+impl<M: Layer> Rank<M> {
+    fn step(&mut self, f: &impl Fn(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
         // Telemetry once per group, from rank 0's thread. The metrics
         // relay below runs on *every* rank when telemetry is on.
+        let rank = self.core.comm.rank();
         let t_step0 = telemetry::enabled().then(Instant::now);
-        let tel = telemetry::enabled() && self.rank == 0;
-        let scale_used = self.scaler.scale();
-        let dy = f(self.rank, &mut self.model, scale_used);
+        let tel = telemetry::enabled() && rank == 0;
+        let scale_used = self.core.scaler.scale();
+        let dy = f(rank, &mut self.model, scale_used);
 
         let update = self
             .schedule
             .as_ref()
-            .is_some_and(|s| s.is_update_step(self.steps_taken + self.steps_skipped));
+            .is_some_and(|s| s.is_update_step(self.core.counts.index()));
         let t_comm = if update {
             // Dynamic-sparsity update step: the compressed bucket layout
             // is about to be renegotiated, so skip the overlapped
@@ -145,116 +113,24 @@ impl<M: Layer, T: Transport> Rank<M, T> {
             self.remap_step()?;
             sp.map(telemetry::SpanGuard::finish)
         } else {
-            // Backward with overlapped all-reduce: as each parameter
-            // group reports its gradient ready (reverse execution order
-            // — identical on every rank, so ring ids line up), compress
-            // it and start its ring; pump in-flight rings between
-            // groups.
             let sp = tel.then(|| telemetry::span("samo.dp_threaded.backward_allreduce"));
-            let mut order: Vec<(u64, usize)> = Vec::with_capacity(self.states.len());
-            let mut comm_err: Option<CommsError> = None;
-            {
-                let states = &mut self.states;
-                let comm = &mut self.comm;
-                let order = &mut order;
-                let comm_err = &mut comm_err;
-                self.model.backward_with_ready(&dy, &mut |off, params| {
-                    if comm_err.is_some() {
-                        return; // finish backward, but stop talking
-                    }
-                    for (i, p) in params.iter().enumerate() {
-                        let pi = off + i;
-                        states[pi].compress_grad(p.grad.as_slice());
-                        match comm.ring_start(states[pi].grad16.clone()) {
-                            Ok(id) => order.push((id, pi)),
-                            Err(e) => {
-                                *comm_err = Some(e);
-                                return;
-                            }
-                        }
-                    }
-                    if let Err(e) = comm.ring_pump() {
-                        *comm_err = Some(e);
-                    }
-                });
-            }
-            if let Some(e) = comm_err {
-                return Err(e);
-            }
-            self.comm.ring_finish()?;
-            for (id, mean) in self.comm.take_completed() {
-                let pi = order
-                    .iter()
-                    .find(|(rid, _)| *rid == id)
-                    .expect("completed ring was started by this step")
-                    .1;
-                self.states[pi].grad16.copy_from_slice(&mean);
-            }
+            self.core.backward_overlapped(&mut self.model, &dy)?;
+            self.core.finish_rings()?;
             sp.map(telemetry::SpanGuard::finish)
         };
 
-        // The reduced bits are identical on every rank, so a local
-        // overflow scan and scaler update reach the same verdict
-        // everywhere — no extra collective needed.
-        let finite = !self
-            .states
-            .iter()
-            .any(|st| st.grad16.iter().any(|g| !g.is_finite()));
-        let proceed = self.scaler.check_and_update(finite);
-        if !proceed {
-            self.model.zero_grad();
-            self.steps_skipped += 1;
-            if tel {
-                self.record_step(false, scale_used, t_comm, None);
-            }
-            if let Some(t0) = t_step0 {
-                self.relay_step_metrics(t0);
-            }
-            return Ok(StepOutcome {
-                applied: false,
-                finite,
-                nnz: self.states.iter().map(ShardedSamoLayerState::nnz).sum(),
-            });
-        }
-
-        // Shard-step, then all-gather the updated fp16 shards.
-        let sp = tel.then(|| telemetry::span("samo.dp_threaded.shard_step"));
-        let world = self.comm.world();
-        let inv = 1.0 / scale_used;
-        for pi in 0..self.states.len() {
-            let shard16 = self.states[pi].optimizer_step_shard(&self.opt, inv);
-            let counts: Vec<usize> = comms::segment_bounds(self.states[pi].nnz(), world)
-                .iter()
-                .map(|(lo, hi)| hi - lo)
-                .collect();
-            debug_assert_eq!(
-                {
-                    let (lo, hi) = self.states[pi].shard_range();
-                    hi - lo
-                },
-                counts[self.rank],
-                "comms::segment_bounds must match the optimizer shard partition"
-            );
-            let gathered = self.comm.all_gather_f16(&shard16, &counts)?;
-            self.states[pi].install_gathered(&gathered);
-        }
-        for (p, st) in self.model.params_mut().into_iter().zip(&self.states) {
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        let t_shard = sp.map(telemetry::SpanGuard::finish);
-        self.steps_taken += 1;
+        let finite = self.core.finite();
+        let span = tel.then_some("samo.dp_threaded.shard_step");
+        let (applied, t_shard) = self
+            .core
+            .conclude(&mut self.model, finite, scale_used, span)?;
         if tel {
-            self.record_step(true, scale_used, t_comm, t_shard);
+            self.record_step(applied, scale_used, t_comm, t_shard);
         }
         if let Some(t0) = t_step0 {
             self.relay_step_metrics(t0);
         }
-        Ok(StepOutcome {
-            applied: true,
-            finite,
-            nnz: self.states.iter().map(ShardedSamoLayerState::nnz).sum(),
-        })
+        Ok(applied)
     }
 
     /// The dynamic-sparsity update path, run in place of the overlapped
@@ -275,89 +151,81 @@ impl<M: Layer, T: Transport> Rank<M, T> {
     /// been renegotiated and any stale in-flight bucket from the old
     /// layout is dropped by every future receive.
     fn remap_step(&mut self) -> Result<(), CommsError> {
-        let t = self.steps_taken + self.steps_skipped;
-        let sched = self.schedule.clone().expect("remap_step requires a schedule");
-        let world = self.comm.world();
+        let t = self.core.counts.index();
+        let sched = self
+            .schedule
+            .clone()
+            .expect("remap_step requires a schedule");
+        let RankCore {
+            states, comm, opt, ..
+        } = &mut self.core;
+        let (rank, world) = (comm.rank(), comm.world());
         let mut moved = false;
         let params = self.model.params_mut();
-        assert_eq!(params.len(), self.states.len());
-        for (pi, p) in params.into_iter().enumerate() {
-            let st = &mut self.states[pi];
-            let mut dense16: Vec<F16> =
-                p.grad.as_slice().iter().map(|&g| F16::from_f32(g)).collect();
-            self.comm.allreduce_mean_f16(&mut dense16)?;
+        assert_eq!(params.len(), states.len());
+        for (st, p) in states.iter_mut().zip(params) {
+            let mut dense16: Vec<F16> = p
+                .grad
+                .as_slice()
+                .iter()
+                .map(|&g| F16::from_f32(g))
+                .collect();
+            comm.allreduce_mean_f16(&mut dense16)?;
             let score: Vec<f32> = dense16.iter().map(|g| g.to_f32()).collect();
             let new_mask = sched.next_mask(t, p.value.as_slice(), &score, st.mask());
             if &new_mask != st.mask() {
+                // Each rank contributes its `[θ32 | os…]` shard segment;
+                // array `k` of rank `r` lands at `bounds[r]` of full array `k`.
                 let nnz = st.nnz();
                 let bounds = comms::segment_bounds(nnz, world);
-                let karrays = match &st.os_shard {
-                    OptState::Adam(_) => 3,
-                    OptState::Sgd(_) => 2,
+                let arrays: Vec<&[f32]> = match &st.os_shard {
+                    OptState::Adam(a) => vec![&st.theta32_shard, &a.m, &a.v],
+                    OptState::Sgd(s) => vec![&st.theta32_shard, &s.velocity],
                 };
-                let (lo, hi) = st.shard_range();
-                let mut mine: Vec<f32> = Vec::with_capacity((hi - lo) * karrays);
-                mine.extend_from_slice(&st.theta32_shard);
-                match &st.os_shard {
-                    OptState::Adam(a) => {
-                        mine.extend_from_slice(&a.m);
-                        mine.extend_from_slice(&a.v);
-                    }
-                    OptState::Sgd(s) => mine.extend_from_slice(&s.velocity),
-                }
-                let counts: Vec<usize> =
-                    bounds.iter().map(|&(l, h)| (h - l) * karrays).collect();
-                let gathered = self.comm.all_gather_f32(&mine, &counts)?;
-                let mut theta32 = vec![0.0f32; nnz];
-                let mut os = OptState::new(&self.opt, nnz);
-                let mut off = 0usize;
+                let counts: Vec<usize> = bounds
+                    .iter()
+                    .map(|&(l, h)| (h - l) * arrays.len())
+                    .collect();
+                let gathered = comm.all_gather_f32(&arrays.concat(), &counts)?;
+                let mut full = vec![vec![0.0f32; nnz]; arrays.len()];
+                let mut seg = gathered.as_slice();
                 for &(l, h) in &bounds {
-                    let seg = h - l;
-                    theta32[l..h].copy_from_slice(&gathered[off..off + seg]);
-                    match &mut os {
-                        OptState::Adam(full) => {
-                            full.m[l..h].copy_from_slice(&gathered[off + seg..off + 2 * seg]);
-                            full.v[l..h]
-                                .copy_from_slice(&gathered[off + 2 * seg..off + 3 * seg]);
-                        }
-                        OptState::Sgd(full) => {
-                            full.velocity[l..h]
-                                .copy_from_slice(&gathered[off + seg..off + 2 * seg]);
-                        }
+                    for a in &mut full {
+                        let (head, rest) = seg.split_at(h - l);
+                        a[l..h].copy_from_slice(head);
+                        seg = rest;
                     }
-                    off += seg * karrays;
                 }
-                if let (OptState::Adam(full), OptState::Adam(shard)) = (&mut os, &st.os_shard) {
-                    full.step = shard.step;
-                }
-                let mut full = SamoLayerState::from_parts(
-                    st.mask().clone(),
-                    theta32,
-                    st.grad16.clone(),
-                    os,
-                );
-                let mut scratch = RemapScratch::for_layer(&mut full, &self.opt);
+                let mut full = full.into_iter();
+                let mut next = || full.next().expect("one full array per shard array");
+                let theta32 = next();
+                let os = match &st.os_shard {
+                    OptState::Adam(a) => OptState::Adam(AdamState {
+                        m: next(),
+                        v: next(),
+                        step: a.step,
+                    }),
+                    OptState::Sgd(_) => OptState::Sgd(SgdState { velocity: next() }),
+                };
+                let mut full =
+                    SamoLayerState::from_parts(st.mask().clone(), theta32, st.grad16.clone(), os);
+                let mut scratch = RemapScratch::for_layer(&mut full, opt);
                 full.remap_compressed_state(new_mask, &mut scratch);
-                let ind = full.mask().indices().clone();
-                for (g, &ix) in full.grad16.iter_mut().zip(ind.iter()) {
-                    *g = dense16[ix as usize];
-                }
-                *st = ShardedSamoLayerState::from_full_layer(&full, &self.opt, self.rank, world);
+                *st = ShardedSamoLayerState::from_full_layer(&full, opt, rank, world);
                 st.write_dense_f32_params_into(p.value.as_mut_slice());
                 moved = true;
-            } else {
-                // Mask unchanged: the dense reduction above already
-                // carries the agreed gradient — install its compressed
-                // view directly (the per-layer rings were skipped).
-                let ind = st.mask().indices().clone();
-                for (g, &ix) in st.grad16.iter_mut().zip(ind.iter()) {
-                    *g = dense16[ix as usize];
-                }
+            }
+            // The dense reduction above already carries the agreed
+            // gradient: install its compressed view under the (possibly
+            // new) mask directly, since the per-layer rings were skipped.
+            let ind = st.mask().indices().clone();
+            for (g, &ix) in st.grad16.iter_mut().zip(ind.iter()) {
+                *g = dense16[ix as usize];
             }
         }
         if moved {
-            self.comm.bump_epoch();
-            if telemetry::enabled() && self.rank == 0 {
+            comm.bump_epoch();
+            if telemetry::enabled() && rank == 0 {
                 telemetry::global()
                     .counter("samo.dp_threaded.remap_events")
                     .inc();
@@ -366,127 +234,37 @@ impl<M: Layer, T: Transport> Rank<M, T> {
         Ok(())
     }
 
-    /// Mesh-native metrics aggregation: every rank ships its step wall
-    /// time over the transport to rank 0, which folds rolling per-rank
-    /// stats, warns on stragglers (above
-    /// [`crate::pipeline::STRAGGLER_FACTOR`] × the step median) and
-    /// emits one aggregated `mesh_metrics` line into the metrics jsonl
-    /// stream. Delivery is best-effort — a lost snapshot degrades the
-    /// report, never the step.
+    /// Mesh-native metrics relay: every rank ships its step wall time
+    /// over the transport to rank 0, which folds them into one
+    /// `mesh_metrics` line. Delivery is best-effort — a lost snapshot
+    /// degrades the report, never the step.
     fn relay_step_metrics(&mut self, t0: Instant) {
-        use telemetry::json::Json;
         let dur_us = t0.elapsed().as_secs_f64() * 1e6;
-        let step = (self.steps_taken + self.steps_skipped).saturating_sub(1) as u32;
-        if self.rank != 0 {
-            self.comm
-                .send_telemetry(0, self.rank as u64, step, dur_us.to_le_bytes().to_vec());
+        let step = self.core.counts.index().saturating_sub(1) as u32;
+        let comm = &mut self.core.comm;
+        let rank = comm.rank();
+        if rank != 0 {
+            comm.send_telemetry(0, rank as u64, step, dur_us.to_le_bytes().to_vec());
             return;
         }
-        let world = self.comm.world();
-        if self.rank_dur_stats.len() != world {
-            self.rank_dur_stats = vec![(0.0, 0); world];
-        }
-        let wait = self.comm.timeout();
-        let mut durs: Vec<(usize, f64)> = vec![(0, dur_us)];
+        let world = comm.world();
+        let wait = comm.timeout();
+        let mut durs: Vec<RankDuration> = vec![(0, vec![("rank", 0)], dur_us)];
         for r in 1..world {
-            if let Some(b) = self.comm.recv_telemetry(r, r as u64, step, wait) {
+            if let Some(b) = comm.recv_telemetry(r, r as u64, step, wait) {
                 if let Ok(bytes) = <[u8; 8]>::try_from(&b[..]) {
-                    durs.push((r, f64::from_le_bytes(bytes)));
+                    durs.push((r, vec![("rank", r as u64)], f64::from_le_bytes(bytes)));
                 }
             }
         }
-        let mut sorted: Vec<f64> = durs.iter().map(|d| d.1).collect();
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2];
-        let mut per_rank = Vec::with_capacity(durs.len());
-        let mut stragglers = Vec::new();
-        for &(r, dur) in &durs {
-            let cell = &mut self.rank_dur_stats[r];
-            cell.0 += dur;
-            cell.1 += 1;
-            per_rank.push(Json::Obj(vec![
-                ("rank".into(), Json::UInt(r as u64)),
-                ("dur_us".into(), Json::Num(dur)),
-                ("mean_us".into(), Json::Num(cell.0 / cell.1 as f64)),
-            ]));
-            if durs.len() > 1 && dur > crate::pipeline::STRAGGLER_FACTOR * median {
-                telemetry::log_warn!(
-                    "data-parallel straggler: rank {r} step {step} took {dur:.0}us ({:.2}x step median)",
-                    dur / median
-                );
-                stragglers.push(Json::Obj(vec![
-                    ("rank".into(), Json::UInt(r as u64)),
-                    ("ratio".into(), Json::Num(dur / median)),
-                ]));
-            }
-        }
-        telemetry::jsonl::emit_line(&Json::Obj(vec![
-            ("kind".into(), Json::from("mesh_metrics")),
-            ("step".into(), Json::UInt(u64::from(step))),
-            ("ranks".into(), Json::UInt(durs.len() as u64)),
-            ("median_us".into(), Json::Num(median)),
-            ("max_us".into(), Json::Num(sorted[sorted.len() - 1])),
-            ("per_rank".into(), Json::Arr(per_rank)),
-            ("stragglers".into(), Json::Arr(stragglers)),
-        ]));
-    }
-
-    /// Reloads the rank's slice of a full checkpoint, then rejoins the
-    /// group on a fresh comms epoch.
-    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        if layers.len() != self.states.len() {
-            return Err(format!(
-                "checkpoint has {} layers, group has {}",
-                layers.len(),
-                self.states.len()
-            ));
-        }
-        for (layer, st) in layers.iter().zip(&self.states) {
-            if layer.mask().shape() != st.mask().shape() {
-                return Err("checkpoint mask shape mismatch".into());
-            }
-        }
-        let d = self.comm.world();
-        for ((st, layer), p) in self
-            .states
-            .iter_mut()
-            .zip(&layers)
-            .zip(self.model.params_mut())
-        {
-            *st = ShardedSamoLayerState::from_full_layer(layer, &self.opt, self.rank, d);
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        if let Some(meta) = meta {
-            self.scaler.restore_state(LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
-        // Discard any stale in-flight traffic and re-synchronize: every
-        // rank restores together, so epochs advance in lockstep.
-        self.comm.bump_epoch();
-        self.poisoned = false;
-        if let Err(e) = self.comm.barrier() {
-            self.poisoned = true;
-            return Err(format!("post-restore barrier failed: {e}"));
-        }
-        if telemetry::enabled() && self.rank == 0 {
-            telemetry::global()
-                .counter("samo.dp_threaded.recoveries")
-                .inc();
-        }
-        Ok(())
+        self.metrics.emit("data-parallel", world, step, &durs);
     }
 
     fn stats(&self) -> CommStats {
-        let t = self.comm.transport();
+        let t = self.core.comm.transport();
         CommStats {
             wire_bytes: t.bytes_sent(),
-            model_allreduce_bytes: self.comm.model_allreduce_bytes(),
+            model_allreduce_bytes: self.core.comm.model_allreduce_bytes(),
             msgs_dropped: t.msgs_dropped(),
         }
     }
@@ -499,93 +277,45 @@ impl<M: Layer, T: Transport> Rank<M, T> {
         t_comm: Option<f64>,
         t_shard: Option<f64>,
     ) {
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "samo.dp_threaded.steps_taken"
-        } else {
-            "samo.dp_threaded.steps_skipped"
-        })
-        .inc();
-        let nnz: usize = self.states.iter().map(|s| s.nnz()).sum();
-        let step_bytes = samo_ring_allreduce_bytes(nnz as u64, self.comm.world() as u64);
-        reg.counter("samo.dp_threaded.allreduce_bytes").add(step_bytes);
-        reg.gauge("samo.dp_threaded.loss_scale")
-            .set(f64::from(self.scaler.scale()));
-        let bytes: u64 = self.states.iter().map(|s| s.measured_bytes(true)).sum();
-        let mut phases = Vec::new();
-        if let Some(t) = t_comm {
-            phases.push(("backward_allreduce", t));
-        }
-        if let Some(t) = t_shard {
-            phases.push(("shard_step", t));
-        }
-        telemetry::jsonl::emit_step(&telemetry::StepEvent {
-            kind: "samo_dp_threaded",
-            step: self.steps_taken + self.steps_skipped - 1,
-            applied,
-            loss_scale: scale_used,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-            numel: self.states.iter().map(|s| s.numel()).sum::<usize>() as u64,
-            nnz: nnz as u64,
-            model_state_bytes: bytes,
-            formula_state_bytes: None,
-            allreduce_bytes: step_bytes,
-            phases,
-        });
-    }
-}
-
-fn rank_loop<M: Layer, T: Transport>(mut rk: Rank<M, T>, rx: Receiver<Cmd<M>>, tx: Sender<Resp>) {
-    while let Ok(cmd) = rx.recv() {
-        let resp = match cmd {
-            Cmd::Step(f) => Resp::Step(rk.step(&f)),
-            Cmd::SetScaler(s) => {
-                rk.scaler = s;
-                Resp::Ack
-            }
-            Cmd::SetSchedule(s) => {
-                rk.schedule = Some(s);
-                Resp::Ack
-            }
-            Cmd::Snapshot => Resp::Snapshot(Box::new(SnapshotData {
-                states: rk.states.clone(),
-                stats: rk.stats(),
-            })),
-            Cmd::Restore(ck) => Resp::Restored(rk.restore(&ck)),
-            Cmd::Inspect(f) => {
-                f(&mut rk.model, &rk.states);
-                Resp::Ack
-            }
-            Cmd::Shutdown => {
-                let _ = tx.send(Resp::Ack);
-                return;
-            }
-        };
-        if tx.send(resp).is_err() {
-            return;
-        }
+        let core = &self.core;
+        let nnz = core.nnz() as u64;
+        let step_bytes = samo_ring_allreduce_bytes(nnz, core.comm.world() as u64);
+        telemetry::global()
+            .counter("samo.dp_threaded.allreduce_bytes")
+            .add(step_bytes);
+        let phases = [("backward_allreduce", t_comm), ("shard_step", t_shard)];
+        record_step_event(
+            "samo.dp_threaded",
+            core.scaler.scale(),
+            &telemetry::StepEvent {
+                kind: "samo_dp_threaded",
+                step: core.counts.index() - 1,
+                applied,
+                loss_scale: scale_used,
+                steps_taken: core.counts.taken,
+                steps_skipped: core.counts.skipped,
+                numel: core.numel() as u64,
+                nnz,
+                model_state_bytes: core.states.iter().map(|s| s.measured_bytes(true)).sum(),
+                formula_state_bytes: None,
+                allreduce_bytes: step_bytes,
+                phases: phases
+                    .into_iter()
+                    .filter_map(|(n, t)| Some((n, t?)))
+                    .collect(),
+            },
+        );
     }
 }
 
 /// A data-parallel SAMO group where every rank is a real OS thread and
-/// gradients move through the `comms` ring all-reduce. Drop-in peer of
-/// [`crate::DataParallelSamo`] (same step semantics, same bits).
+/// gradients move through the `comms` ring all-reduce — the
+/// `G_inter = 1` case of [`crate::ThreadedPipelineSamo`], with dynamic
+/// sparsity on top.
 pub struct ThreadedDataParallelSamo<M: Layer + Send + 'static> {
-    world: usize,
-    cmd: Vec<Sender<Cmd<M>>>,
-    resp: Vec<Receiver<Resp>>,
-    handles: Vec<JoinHandle<()>>,
+    group: RankGroup<Rank<M>>,
     faults: Arc<FaultController>,
-    opt: Optimizer,
-    /// Mirror of the rank scalers (updated with the same verdicts), so
-    /// `loss_scale()` answers without a round-trip.
-    scaler: LossScaler,
-    steps_taken: u64,
-    steps_skipped: u64,
     allreduce_bytes: u64,
-    numel: usize,
-    nnz: usize,
 }
 
 impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
@@ -616,7 +346,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// report rank `r`; `faults` should be the controller those
     /// transports were built with so [`Self::faults`] still steers them.
     pub fn with_transports<T: Transport + 'static>(
-        mut replicas: Vec<M>,
+        replicas: Vec<M>,
         masks: Vec<Mask>,
         opt: Optimizer,
         timeout: Duration,
@@ -627,94 +357,44 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
             !replicas.is_empty(),
             "ThreadedDataParallelSamo needs at least one replica"
         );
-        let d = replicas.len();
-        assert_eq!(transports.len(), d, "one transport endpoint per replica");
-        {
-            let first: Vec<Vec<f32>> = replicas[0]
-                .params()
-                .iter()
-                .map(|p| p.value.as_slice().to_vec())
-                .collect();
-            for (r, m) in replicas.iter().enumerate().skip(1) {
-                for (p, expect) in m.params().iter().zip(&first) {
-                    assert_eq!(
-                        p.value.as_slice(),
-                        &expect[..],
-                        "replica {r} differs at init ({})",
-                        p.name
-                    );
-                }
-            }
-        }
-        let scaler = LossScaler::default();
-        let mut numel = 0;
-        let mut nnz = 0;
-        let mut cmd = Vec::with_capacity(d);
-        let mut resp = Vec::with_capacity(d);
-        let mut handles = Vec::with_capacity(d);
-        for (rank, (mut model, t)) in replicas.drain(..).zip(transports).enumerate() {
-            assert_eq!(t.rank(), rank, "transport endpoints must arrive in rank order");
-            let params = model.params_mut();
-            assert_eq!(params.len(), masks.len(), "one mask per parameter");
-            let mut states = Vec::with_capacity(params.len());
-            for (p, mask) in params.into_iter().zip(&masks) {
-                let st = ShardedSamoLayerState::from_params(
-                    p.value.as_slice(),
-                    mask.clone(),
-                    &opt,
+        assert_eq!(
+            transports.len(),
+            replicas.len(),
+            "one transport endpoint per replica"
+        );
+        assert_replicas_agree(&replicas);
+        let ranks = replicas
+            .into_iter()
+            .zip(transports)
+            .enumerate()
+            .map(|(rank, (mut model, t))| {
+                assert_eq!(
+                    t.rank(),
                     rank,
-                    d,
+                    "transport endpoints must arrive in rank order"
                 );
-                st.write_dense_f32_params_into(p.value.as_mut_slice());
-                states.push(st);
-            }
-            if rank == 0 {
-                numel = states.iter().map(|s| s.numel()).sum();
-                nnz = states.iter().map(|s| s.nnz()).sum();
-            }
-            let rk = Rank {
-                rank,
-                model,
-                states,
-                opt: opt.clone(),
-                scaler: scaler.clone(),
-                comm: Communicator::new(t).with_timeout(timeout),
-                schedule: None,
-                poisoned: false,
-                steps_taken: 0,
-                steps_skipped: 0,
-                rank_dur_stats: Vec::new(),
-            };
-            let (ctx, crx) = channel::<Cmd<M>>();
-            let (rtx, rrx) = channel::<Resp>();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("samo-dp-rank{rank}"))
-                    .spawn(move || rank_loop(rk, crx, rtx))
-                    .expect("spawn rank thread"),
-            );
-            cmd.push(ctx);
-            resp.push(rrx);
-        }
+                let comm =
+                    Communicator::new(Box::new(t) as Box<dyn Transport>).with_timeout(timeout);
+                let core = RankCore::new(&mut model, &masks, &opt, comm, 0, masks.len());
+                let rk = Rank {
+                    model,
+                    core,
+                    schedule: None,
+                    metrics: MeshMetrics::default(),
+                };
+                (format!("samo-dp-rank{rank}"), format!("rank {rank}"), rk)
+            })
+            .collect();
         ThreadedDataParallelSamo {
-            world: d,
-            cmd,
-            resp,
-            handles,
+            group: RankGroup::spawn(ranks, opt, 1),
             faults,
-            opt,
-            scaler,
-            steps_taken: 0,
-            steps_skipped: 0,
             allreduce_bytes: 0,
-            numel,
-            nnz,
         }
     }
 
     /// Number of rank threads.
     pub fn world_size(&self) -> usize {
-        self.world
+        self.group.len()
     }
 
     /// Fault injection handle for every link of the mesh.
@@ -725,47 +405,40 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// Current loss scale (multiply the loss before backward — the
     /// step closure receives it as its third argument).
     pub fn loss_scale(&self) -> f32 {
-        self.scaler.scale()
+        self.group.scaler.scale()
     }
 
     /// Applied steps.
     pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
+        self.group.counts.taken
     }
 
     /// Steps skipped on gradient overflow (every rank skips together).
     pub fn steps_skipped(&self) -> u64 {
-        self.steps_skipped
+        self.group.counts.skipped
     }
 
-    /// Cumulative modeled ring all-reduce bytes, same formula as
-    /// [`crate::DataParallelSamo::allreduce_bytes`].
+    /// Cumulative compressed-gradient bytes this group has moved through
+    /// its all-reduce: the ring formula `2·(G−1)/G · fφ` fp16 values per
+    /// step (skipped steps included, since the collective runs before
+    /// the overflow check).
     pub fn allreduce_bytes(&self) -> u64 {
         self.allreduce_bytes
     }
 
     /// Total parameters φ (per replica).
     pub fn numel(&self) -> usize {
-        self.numel
+        self.group.numel
     }
 
     /// Unpruned parameters fφ (per replica).
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.group.nnz
     }
 
     /// Replaces the loss scaler on every rank (and the mirror).
     pub fn set_scaler(&mut self, scaler: LossScaler) {
-        self.scaler = scaler.clone();
-        for tx in &self.cmd {
-            tx.send(Cmd::SetScaler(scaler.clone()))
-                .expect("rank thread alive");
-        }
-        for rx in &self.resp {
-            let Ok(Resp::Ack) = rx.recv() else {
-                panic!("rank thread died during set_scaler");
-            };
-        }
+        self.group.set_scaler(scaler);
     }
 
     /// Installs a dynamic-sparsity [`MaskSchedule`] on every rank. At
@@ -776,15 +449,8 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// stays bitwise identical to a [`crate::SamoTrainer`] driven by
     /// the same schedule on replicated data.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        for tx in &self.cmd {
-            tx.send(Cmd::SetSchedule(schedule.clone()))
-                .expect("rank thread alive");
-        }
-        for rx in &self.resp {
-            let Ok(Resp::Ack) = rx.recv() else {
-                panic!("rank thread died during set_mask_schedule");
-            };
-        }
+        self.group
+            .run_all(move |r| r.schedule = Some(schedule.clone()));
     }
 
     /// Runs one concurrent training step: every rank thread executes
@@ -797,107 +463,30 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         &mut self,
         f: impl Fn(usize, &mut M, f32) -> Tensor + Send + Sync + 'static,
     ) -> Result<bool, String> {
-        let f: StepFn<M> = Arc::new(f);
-        for tx in &self.cmd {
-            tx.send(Cmd::Step(Arc::clone(&f)))
-                .map_err(|_| "a rank thread died".to_string())?;
-        }
-        let mut outcomes = Vec::with_capacity(self.world);
-        let mut errors = Vec::new();
-        for (rank, rx) in self.resp.iter().enumerate() {
-            match rx.recv() {
-                Ok(Resp::Step(Ok(o))) => outcomes.push(o),
-                Ok(Resp::Step(Err(e))) => errors.push(format!("rank {rank}: {e}")),
-                Ok(_) => errors.push(format!("rank {rank}: protocol confusion")),
-                Err(_) => errors.push(format!("rank {rank}: thread died")),
-            }
-        }
-        if !errors.is_empty() {
-            return Err(errors.join("; "));
-        }
-        let applied = outcomes[0].applied;
-        let finite = outcomes[0].finite;
-        debug_assert!(
-            outcomes
-                .iter()
-                .all(|o| o.applied == applied && o.finite == finite && o.nnz == outcomes[0].nnz),
-            "ranks must agree on the step verdict and mask"
-        );
-        // Keep the mirror scaler in lockstep with the rank replicas.
-        let _ = self.scaler.check_and_update(finite);
-        if applied {
-            self.steps_taken += 1;
-        } else {
-            self.steps_skipped += 1;
-        }
-        // A dynamic-sparsity remap may have changed the mask this step.
-        self.nnz = outcomes[0].nnz;
+        let applied = self.group.step(move |r| r.step(&f))?;
         self.allreduce_bytes +=
-            samo_ring_allreduce_bytes(self.nnz as u64, self.world as u64);
+            samo_ring_allreduce_bytes(self.group.nnz as u64, self.group.len() as u64);
         Ok(applied)
     }
 
-    /// Serializes the group as one rank-count-independent v2 checkpoint
-    /// (same format as [`crate::DataParallelSamo::save`]).
-    pub fn save(&mut self) -> bytes::Bytes {
-        let snaps = self.snapshot_all();
-        let nparams = snaps[0].states.len();
-        let layers: Vec<crate::state::SamoLayerState> = (0..nparams)
-            .map(|pi| {
-                let ranks: Vec<&ShardedSamoLayerState> =
-                    snaps.iter().map(|s| &s.states[pi]).collect();
-                ShardedSamoLayerState::to_full_layer(&ranks, &self.opt)
-            })
-            .collect();
-        let snap = self.scaler.snapshot();
-        let meta = crate::serialize::TrainerMeta {
-            loss_scale: snap.scale,
-            good_steps: snap.good_steps,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-        };
-        crate::serialize::save_checkpoint(&layers, &meta)
+    /// Serializes the group as one rank-count-independent v2
+    /// checkpoint, byte-identical to [`crate::SamoTrainer::save`] in the
+    /// same state.
+    pub fn save(&self) -> bytes::Bytes {
+        self.group.save()
     }
 
     /// Restores a checkpoint on every rank and re-synchronizes the
     /// group (fresh comms epoch + barrier). This is the recovery path
     /// after a failed step: heal the faulted links first, then restore.
     pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        let ck = Arc::new(checkpoint.to_vec());
-        for tx in &self.cmd {
-            tx.send(Cmd::Restore(Arc::clone(&ck)))
-                .map_err(|_| "a rank thread died".to_string())?;
-        }
-        let mut errors = Vec::new();
-        for (rank, rx) in self.resp.iter().enumerate() {
-            match rx.recv() {
-                Ok(Resp::Restored(Ok(()))) => {}
-                Ok(Resp::Restored(Err(e))) => errors.push(format!("rank {rank}: {e}")),
-                Ok(_) => errors.push(format!("rank {rank}: protocol confusion")),
-                Err(_) => errors.push(format!("rank {rank}: thread died")),
-            }
-        }
-        if !errors.is_empty() {
-            return Err(errors.join("; "));
-        }
-        // Re-sync the mirror from the checkpoint's own metadata.
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        self.nnz = layers.iter().map(SamoLayerState::nnz).sum();
-        if let Some(meta) = meta {
-            self.scaler.restore_state(LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
-        Ok(())
+        self.group.restore(checkpoint)
     }
 
     /// Per-rank transport statistics (wire bytes, modeled ring bytes,
     /// fault-dropped messages), in rank order.
     pub fn comm_stats(&mut self) -> Vec<CommStats> {
-        self.snapshot_all().into_iter().map(|s| s.stats).collect()
+        self.group.run_all(|r| r.stats())
     }
 
     /// Runs `f` on rank `rank`'s thread with exclusive access to its
@@ -908,40 +497,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         R: Send + 'static,
         F: FnOnce(&mut M, &[ShardedSamoLayerState]) -> R + Send + 'static,
     {
-        let (tx, rx) = channel();
-        self.cmd[rank]
-            .send(Cmd::Inspect(Box::new(move |model, states| {
-                let _ = tx.send(f(model, states));
-            })))
-            .expect("rank thread alive");
-        let out = rx.recv().expect("inspect reply");
-        let Ok(Resp::Ack) = self.resp[rank].recv() else {
-            panic!("rank thread died during inspect");
-        };
-        out
-    }
-
-    fn snapshot_all(&mut self) -> Vec<SnapshotData> {
-        for tx in &self.cmd {
-            tx.send(Cmd::Snapshot).expect("rank thread alive");
-        }
-        self.resp
-            .iter()
-            .map(|rx| match rx.recv() {
-                Ok(Resp::Snapshot(s)) => *s,
-                _ => panic!("rank thread died during snapshot"),
-            })
-            .collect()
-    }
-}
-
-impl<M: Layer + Send + 'static> Drop for ThreadedDataParallelSamo<M> {
-    fn drop(&mut self) {
-        for tx in &self.cmd {
-            let _ = tx.send(Cmd::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.group
+            .with_rank(rank, move |r| f(&mut r.model, &r.core.states))
     }
 }

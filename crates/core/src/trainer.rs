@@ -1,12 +1,116 @@
 //! End-to-end training integration: SAMO-compressed training and the
 //! dense masked baseline it must be numerically equivalent to, plus the
 //! compressed data-parallel gradient all-reduce (paper Sec. IV-A).
+//!
+//! [`SamoTrainer`] holds the one unsharded SAMO step: remap → compress →
+//! verdict → scaler → optimizer. A data-parallel runtime reuses it and
+//! supplies only a `GradExchange`, the way its replicas agree on
+//! gradients (see `crate::dist`).
 
+use crate::serialize::TrainerMeta;
 use crate::state::{RemapScratch, SamoLayerState};
 use nn::layer::Layer;
-use nn::mixed::{DenseMixedState, LossScaler, Optimizer};
+use nn::mixed::{DenseMixedState, LossScaler, LossScalerState, Optimizer};
 use prune::{Mask, MaskSchedule};
 use tensor::f16::F16;
+
+/// Step counters driven by the loss scaler's overflow verdicts. Together
+/// with the scaler they are the trainer-level state a v2 checkpoint
+/// carries ([`TrainerMeta`]); every trainer, rank and parent-side mirror
+/// keeps them in this one type.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct StepCounts {
+    pub taken: u64,
+    pub skipped: u64,
+}
+
+impl StepCounts {
+    /// Feeds one overflow verdict to `scaler` and counts the step.
+    /// Returns whether the step applies.
+    pub fn verdict(&mut self, scaler: &mut LossScaler, finite: bool) -> bool {
+        let proceed = scaler.check_and_update(finite);
+        if proceed {
+            self.taken += 1;
+        } else {
+            self.skipped += 1;
+        }
+        proceed
+    }
+
+    /// Steps seen so far, applied or skipped.
+    pub fn index(&self) -> u64 {
+        self.taken + self.skipped
+    }
+
+    /// The checkpoint form of these counters and `scaler`.
+    pub fn meta(&self, scaler: &LossScaler) -> TrainerMeta {
+        let snap = scaler.snapshot();
+        TrainerMeta {
+            loss_scale: snap.scale,
+            good_steps: snap.good_steps,
+            steps_taken: self.taken,
+            steps_skipped: self.skipped,
+        }
+    }
+
+    /// Resumes the counters and `scaler` from a checkpoint's meta; a
+    /// legacy v1 checkpoint carries none and leaves both untouched.
+    pub fn restore(&mut self, scaler: &mut LossScaler, meta: Option<TrainerMeta>) {
+        if let Some(meta) = meta {
+            scaler.restore_state(LossScalerState {
+                scale: meta.loss_scale,
+                good_steps: meta.good_steps,
+            });
+            self.taken = meta.steps_taken;
+            self.skipped = meta.steps_skipped;
+        }
+    }
+}
+
+/// How the replicas of a data-parallel group agree on gradients — the
+/// one thing a runtime adds to [`SamoTrainer`]'s step.
+pub(crate) trait GradExchange {
+    type Error;
+
+    /// Writes the grow score of a dense gradient into `score`: narrowed
+    /// to f16, averaged over the replicas, widened back to f32.
+    fn grow_score(&mut self, grad: &[f32], score: &mut Vec<f32>) -> Result<(), Self::Error>;
+
+    /// Averages every layer's compressed `∇θ16` over the replicas and
+    /// returns the overflow verdict. `local_finite` is the fused compress
+    /// kernel's flag for this replica's own gradients.
+    fn mean_grads(
+        &mut self,
+        layers: &mut [SamoLayerState],
+        local_finite: bool,
+    ) -> Result<bool, Self::Error>;
+
+    /// A mask moved this step, so the compressed gradient layout changed.
+    fn remapped(&mut self);
+}
+
+/// One process, one replica: nothing to exchange.
+struct Local;
+
+impl GradExchange for Local {
+    type Error = std::convert::Infallible;
+
+    fn grow_score(&mut self, grad: &[f32], score: &mut Vec<f32>) -> Result<(), Self::Error> {
+        score.clear();
+        score.extend(grad.iter().map(|&g| F16::from_f32(g).to_f32()));
+        Ok(())
+    }
+
+    fn mean_grads(
+        &mut self,
+        _: &mut [SamoLayerState],
+        local_finite: bool,
+    ) -> Result<bool, Self::Error> {
+        Ok(local_finite)
+    }
+
+    fn remapped(&mut self) {}
+}
 
 /// SAMO training state for a whole model: one compressed layer state per
 /// parameter tensor, plus the shared loss scaler and (optionally) a
@@ -15,8 +119,7 @@ pub struct SamoTrainer {
     pub layers: Vec<SamoLayerState>,
     pub opt: Optimizer,
     pub scaler: LossScaler,
-    steps_taken: u64,
-    steps_skipped: u64,
+    counts: StepCounts,
     schedule: Option<MaskSchedule>,
     remap_scratch: Vec<RemapScratch>,
     remap_events: u64,
@@ -46,8 +149,7 @@ impl SamoTrainer {
             layers,
             opt,
             scaler: LossScaler::default(),
-            steps_taken: 0,
-            steps_skipped: 0,
+            counts: StepCounts::default(),
             schedule: None,
             remap_scratch: Vec::new(),
             remap_events: 0,
@@ -60,13 +162,17 @@ impl SamoTrainer {
     /// Pre-sizes one [`RemapScratch`] per layer so remap events never
     /// allocate once warm.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
+        self.schedule = Some(schedule);
+        self.prime_remap_scratch();
+    }
+
+    fn prime_remap_scratch(&mut self) {
         let opt = &self.opt;
         self.remap_scratch = self
             .layers
             .iter_mut()
             .map(|l| RemapScratch::for_layer(l, opt))
             .collect();
-        self.schedule = Some(schedule);
     }
 
     /// The installed dynamic-sparsity schedule, if any.
@@ -84,7 +190,7 @@ impl SamoTrainer {
     /// group (which agrees on the skip verdict bitwise) agrees on the
     /// remap timeline too.
     pub fn step_index(&self) -> u64 {
-        self.steps_taken + self.steps_skipped
+        self.counts.index()
     }
 
     /// Total parameters φ across all layers.
@@ -104,12 +210,12 @@ impl SamoTrainer {
 
     /// Steps applied (not skipped by the loss scaler).
     pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
+        self.counts.taken
     }
 
     /// Steps skipped due to gradient overflow.
     pub fn steps_skipped(&self) -> u64 {
-        self.steps_skipped
+        self.counts.skipped
     }
 
     /// Current loss scale to multiply the loss by before backward.
@@ -123,66 +229,31 @@ impl SamoTrainer {
     /// The compute model is *not* included — θ16 is reconstructible from
     /// the checkpoint via [`Self::restore`].
     pub fn save(&self) -> bytes::Bytes {
-        crate::serialize::save_checkpoint(&self.layers, &self.meta())
-    }
-
-    /// The trainer-level state a v2 checkpoint carries.
-    fn meta(&self) -> crate::serialize::TrainerMeta {
-        let snap = self.scaler.snapshot();
-        crate::serialize::TrainerMeta {
-            loss_scale: snap.scale,
-            good_steps: snap.good_steps,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-        }
+        crate::serialize::save_checkpoint(&self.layers, &self.counts.meta(&self.scaler))
     }
 
     /// Restores a checkpoint produced by [`Self::save`] into this
     /// trainer and writes the reconstructed parameters into `model`.
-    /// The model/mask structure must match what was saved. For a v2
-    /// checkpoint the loss-scaler state and step counters are restored
-    /// too; a legacy v1 buffer leaves them untouched.
+    /// The model/mask structure must match what was saved; a mismatch
+    /// is an `Err` and leaves the trainer and `model` untouched. For a
+    /// v2 checkpoint the loss-scaler state and step counters are
+    /// restored too; a legacy v1 buffer leaves them untouched.
     pub fn restore(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        if layers.len() != self.layers.len() {
-            return Err(format!(
-                "checkpoint has {} layers, trainer has {}",
-                layers.len(),
-                self.layers.len()
-            ));
+        let masks = self.layers.iter().map(SamoLayerState::mask);
+        let r =
+            crate::serialize::load_into(checkpoint, &self.opt, self.layers.len(), 0, masks, model)?;
+        for (p, st) in r.params.into_iter().zip(&r.layers) {
+            st.write_dense_f32_params_into(p.value.as_mut_slice());
+            p.zero_grad();
         }
-        for (new, old) in layers.iter().zip(&self.layers) {
-            if new.mask().shape() != old.mask().shape() {
-                return Err("checkpoint mask shape mismatch".into());
-            }
-        }
-        self.layers = layers;
+        self.layers = r.layers;
         if self.schedule.is_some() {
             // The restored layers are fresh allocations without remap
             // headroom; rebuild the scratch (and re-reserve) so future
             // remap events stay allocation-free.
-            let opt = &self.opt;
-            self.remap_scratch = self
-                .layers
-                .iter_mut()
-                .map(|l| RemapScratch::for_layer(l, opt))
-                .collect();
+            self.prime_remap_scratch();
         }
-        for (p, st) in model.params_mut().into_iter().zip(&self.layers) {
-            if p.numel() != st.numel() {
-                return Err(format!("parameter {} size mismatch", p.name));
-            }
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        if let Some(meta) = meta {
-            self.scaler.restore_state(nn::mixed::LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
+        self.counts.restore(&mut self.scaler, r.meta);
         if telemetry::enabled() {
             telemetry::global().counter("samo.ckpt.recoveries").inc();
         }
@@ -198,8 +269,8 @@ impl SamoTrainer {
         self.scaler.force_backoff();
         telemetry::log_info!(
             "rollback: restored step {} (skipped {}), loss scale backed off to {}",
-            self.steps_taken,
-            self.steps_skipped,
+            self.counts.taken,
+            self.counts.skipped,
             self.scaler.scale()
         );
         if telemetry::enabled() {
@@ -225,9 +296,24 @@ impl SamoTrainer {
     /// [`telemetry::StepEvent`] line is appended to `metrics.jsonl`;
     /// disabled, the only overhead is one atomic load.
     pub fn step(&mut self, model: &mut impl Layer) -> bool {
+        match self.step_with(model, &mut Local) {
+            Ok(applied) => applied,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`Self::step`] with the replicas' gradients agreed through `x`
+    /// between compress and verdict. The local exchange keeps the fused
+    /// compress flag as the verdict, so the single-process step makes no
+    /// extra pass over the gradients.
+    pub(crate) fn step_with<X: GradExchange>(
+        &mut self,
+        model: &mut impl Layer,
+        x: &mut X,
+    ) -> Result<bool, X::Error> {
         let tel = telemetry::enabled();
         if self.schedule.is_some() {
-            self.maybe_remap(model);
+            self.maybe_remap(model, x)?;
         }
         // Backward pass hook: compress gradients layer by layer, folding
         // the overflow scan into the same pass. The allocation-free
@@ -245,8 +331,9 @@ impl SamoTrainer {
             assert_eq!(i, layers.len());
         }
         let t_compress = sp.map(telemetry::SpanGuard::finish);
+        let finite = x.mean_grads(&mut self.layers, finite)?;
         let scale = self.scaler.scale();
-        let proceed = self.scaler.check_and_update(finite);
+        let proceed = self.counts.verdict(&mut self.scaler, finite);
         let mut t_optimizer = None;
         if proceed {
             let sp = tel.then(|| telemetry::span("samo.step.optimizer"));
@@ -260,32 +347,34 @@ impl SamoTrainer {
                 i += 1;
             });
             t_optimizer = sp.map(telemetry::SpanGuard::finish);
-            self.steps_taken += 1;
         } else {
             model.for_each_param_mut(&mut |p| p.zero_grad());
-            self.steps_skipped += 1;
         }
         if tel {
-            self.record_step(proceed, scale, t_compress, t_optimizer, None);
+            self.record_step(proceed, scale, t_compress, t_optimizer);
         }
-        proceed
+        Ok(proceed)
     }
 
     /// Dynamic-sparsity hook run at the top of [`Self::step`]: if the
     /// schedule fires at the current step index, recompute each layer's
-    /// mask from the dense weights and the f16-canonicalized dense
-    /// gradient (the *grow score* — exactly the values a data-parallel
-    /// gradient ring reduces, so every runtime ranks regrowth candidates
-    /// identically) and remap the compressed state in place. Runs before
-    /// the compress/verdict phase so the new mask's gradient slots are
-    /// filled by the normal fused compress whether or not the scaler
-    /// skips the step — the remap timeline is therefore a pure function
-    /// of the step index.
-    fn maybe_remap(&mut self, model: &mut impl Layer) {
+    /// mask from the dense weights and the grow score (the dense
+    /// gradient narrowed to f16 and averaged over the replicas — exactly
+    /// the values a data-parallel gradient ring reduces, so every
+    /// runtime ranks regrowth candidates identically) and remap the
+    /// compressed state in place. Runs before the compress/verdict phase
+    /// so the new mask's gradient slots are filled by the normal fused
+    /// compress whether or not the scaler skips the step — the remap
+    /// timeline is therefore a pure function of the step index.
+    fn maybe_remap<X: GradExchange>(
+        &mut self,
+        model: &mut impl Layer,
+        x: &mut X,
+    ) -> Result<(), X::Error> {
         let t = self.step_index();
-        let Some(sched) = &self.schedule else { return };
+        let Some(sched) = &self.schedule else { return Ok(()) };
         if !sched.is_update_step(t) {
-            return;
+            return Ok(());
         }
         let sched = sched.clone();
         let tel = telemetry::enabled();
@@ -294,28 +383,38 @@ impl SamoTrainer {
         let scratch = &mut self.remap_scratch;
         let mut i = 0;
         let mut moved = false;
+        let mut err = None;
         model.for_each_param_mut(&mut |p| {
+            if err.is_some() {
+                return;
+            }
             let layer = &mut layers[i];
             let sc = &mut scratch[i];
-            sc.score.clear();
-            sc.score
-                .extend(p.grad.as_slice().iter().map(|&g| F16::from_f32(g).to_f32()));
+            i += 1;
+            if let Err(e) = x.grow_score(p.grad.as_slice(), &mut sc.score) {
+                err = Some(e);
+                return;
+            }
             let new_mask = sched.next_mask(t, p.value.as_slice(), &sc.score, layer.mask());
             if &new_mask != layer.mask() {
                 layer.remap_compressed_state(new_mask, sc);
                 layer.write_dense_f32_params_into(p.value.as_mut_slice());
                 moved = true;
             }
-            i += 1;
         });
+        if let Some(e) = err {
+            return Err(e);
+        }
         assert_eq!(i, layers.len());
         if moved {
             self.remap_events += 1;
+            x.remapped();
             if tel {
                 telemetry::global().counter("samo.remap_events").inc();
             }
         }
         drop(sp);
+        Ok(())
     }
 
     /// Cold path: metric/JSONL bookkeeping for one completed `step()`.
@@ -325,46 +424,52 @@ impl SamoTrainer {
         scale_used: f32,
         t_compress: Option<f64>,
         t_optimizer: Option<f64>,
-        t_expand: Option<f64>,
     ) {
         let numel = self.numel() as u64;
         let nnz = self.nnz() as u64;
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "samo.steps_taken"
-        } else {
-            "samo.steps_skipped"
-        })
-        .inc();
-        reg.gauge("samo.loss_scale")
-            .set(f64::from(self.scaler.scale()));
-        let bytes = self.model_state_bytes(true);
-        reg.gauge("samo.model_state_bytes").set_max(bytes as f64);
-        let mut phases = Vec::new();
-        if let Some(t) = t_compress {
-            phases.push(("compress", t));
-        }
-        if let Some(t) = t_optimizer {
-            phases.push(("optimizer", t));
-        }
-        if let Some(t) = t_expand {
-            phases.push(("expand", t));
-        }
-        telemetry::jsonl::emit_step(&telemetry::StepEvent {
-            kind: "samo",
-            step: self.steps_taken + self.steps_skipped - 1,
-            applied,
-            loss_scale: scale_used,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-            numel,
-            nnz,
-            model_state_bytes: bytes,
-            formula_state_bytes: Some(formula_state_bytes(&self.opt, numel, nnz)),
-            allreduce_bytes: samo_allreduce_bytes(nnz),
-            phases,
-        });
+        let phases = [("compress", t_compress), ("optimizer", t_optimizer)];
+        record_step_event(
+            "samo",
+            self.scaler.scale(),
+            &telemetry::StepEvent {
+                kind: "samo",
+                step: self.counts.index() - 1,
+                applied,
+                loss_scale: scale_used,
+                steps_taken: self.counts.taken,
+                steps_skipped: self.counts.skipped,
+                numel,
+                nnz,
+                model_state_bytes: self.model_state_bytes(true),
+                formula_state_bytes: Some(formula_state_bytes(&self.opt, numel, nnz)),
+                allreduce_bytes: samo_allreduce_bytes(nnz),
+                phases: phases
+                    .into_iter()
+                    .filter_map(|(n, t)| Some((n, t?)))
+                    .collect(),
+            },
+        );
     }
+}
+
+/// Cold path shared by the trainers' step telemetry: counts the step as
+/// `{prefix}.steps_taken` or `{prefix}.steps_skipped`, sets the
+/// `{prefix}.loss_scale` gauge to the scale after the verdict and the
+/// `{prefix}.model_state_bytes` high-water mark, and appends `ev` to
+/// `metrics.jsonl`.
+pub(crate) fn record_step_event(prefix: &str, scale_now: f32, ev: &telemetry::StepEvent) {
+    let reg = telemetry::global();
+    let outcome = if ev.applied {
+        "steps_taken"
+    } else {
+        "steps_skipped"
+    };
+    reg.counter(&format!("{prefix}.{outcome}")).inc();
+    reg.gauge(&format!("{prefix}.loss_scale"))
+        .set(f64::from(scale_now));
+    reg.gauge(&format!("{prefix}.model_state_bytes"))
+        .set_max(ev.model_state_bytes as f64);
+    telemetry::jsonl::emit_step(ev);
 }
 
 /// Closed-form peak SAMO model-state bytes for `phi` parameters with
@@ -395,8 +500,7 @@ pub struct DenseMaskedTrainer {
     pub layers: Vec<(DenseMixedState, Mask)>,
     pub opt: Optimizer,
     pub scaler: LossScaler,
-    steps_taken: u64,
-    steps_skipped: u64,
+    counts: StepCounts,
 }
 
 impl DenseMaskedTrainer {
@@ -418,8 +522,7 @@ impl DenseMaskedTrainer {
             layers,
             opt,
             scaler: LossScaler::default(),
-            steps_taken: 0,
-            steps_skipped: 0,
+            counts: StepCounts::default(),
         }
     }
 
@@ -445,12 +548,12 @@ impl DenseMaskedTrainer {
 
     /// Steps applied (not skipped by the loss scaler).
     pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
+        self.counts.taken
     }
 
     /// Steps skipped due to gradient overflow.
     pub fn steps_skipped(&self) -> u64 {
-        self.steps_skipped
+        self.counts.skipped
     }
 
     /// Dense counterpart of [`SamoTrainer::step`]: masks gradients (the
@@ -472,7 +575,7 @@ impl DenseMaskedTrainer {
             .iter()
             .any(|(st, _)| st.grad16.iter().any(|g| !g.is_finite()));
         let scale = self.scaler.scale();
-        let proceed = self.scaler.check_and_update(finite);
+        let proceed = self.counts.verdict(&mut self.scaler, finite);
         let mut t_optimizer = None;
         if proceed {
             let sp = tel.then(|| telemetry::span("dense.step.optimizer"));
@@ -491,12 +594,10 @@ impl DenseMaskedTrainer {
                 p.zero_grad();
             }
             t_optimizer = sp.map(telemetry::SpanGuard::finish);
-            self.steps_taken += 1;
         } else {
             for p in params {
                 p.zero_grad();
             }
-            self.steps_skipped += 1;
         }
         if tel {
             self.record_step(proceed, scale, t_mask_grad, t_optimizer);
@@ -513,39 +614,28 @@ impl DenseMaskedTrainer {
         t_optimizer: Option<f64>,
     ) {
         let numel = self.numel() as u64;
-        let nnz = self.nnz() as u64;
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "dense.steps_taken"
-        } else {
-            "dense.steps_skipped"
-        })
-        .inc();
-        reg.gauge("dense.loss_scale")
-            .set(f64::from(self.scaler.scale()));
-        let bytes = self.model_state_bytes();
-        reg.gauge("dense.model_state_bytes").set_max(bytes as f64);
-        let mut phases = Vec::new();
-        if let Some(t) = t_mask_grad {
-            phases.push(("mask_grad", t));
-        }
-        if let Some(t) = t_optimizer {
-            phases.push(("optimizer", t));
-        }
-        telemetry::jsonl::emit_step(&telemetry::StepEvent {
-            kind: "dense_masked",
-            step: self.steps_taken + self.steps_skipped - 1,
-            applied,
-            loss_scale: scale_used,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-            numel,
-            nnz,
-            model_state_bytes: bytes,
-            formula_state_bytes: Some(dense_formula_state_bytes(&self.opt, numel)),
-            allreduce_bytes: dense_allreduce_bytes(numel),
-            phases,
-        });
+        let phases = [("mask_grad", t_mask_grad), ("optimizer", t_optimizer)];
+        record_step_event(
+            "dense",
+            self.scaler.scale(),
+            &telemetry::StepEvent {
+                kind: "dense_masked",
+                step: self.counts.index() - 1,
+                applied,
+                loss_scale: scale_used,
+                steps_taken: self.counts.taken,
+                steps_skipped: self.counts.skipped,
+                numel,
+                nnz: self.nnz() as u64,
+                model_state_bytes: self.model_state_bytes(),
+                formula_state_bytes: Some(dense_formula_state_bytes(&self.opt, numel)),
+                allreduce_bytes: dense_allreduce_bytes(numel),
+                phases: phases
+                    .into_iter()
+                    .filter_map(|(n, t)| Some((n, t?)))
+                    .collect(),
+            },
+        );
     }
 }
 
@@ -887,6 +977,24 @@ mod tests {
         let mut m2 = Linear::new(6, 6, false, 32);
         let mut tr2 = SamoTrainer::new(&mut m2, vec![Mask::dense(&[6, 6])], adam());
         assert!(tr2.restore(&ckpt, &mut m2).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_model_with_other_tensors() {
+        let masks = || vec![Mask::dense(&[4, 4]), Mask::dense(&[4])];
+        let mut m1 = Linear::new(4, 4, true, 33);
+        let ckpt = SamoTrainer::new(&mut m1, masks(), adam()).save();
+        let mut tr2 = SamoTrainer::new(&mut Linear::new(4, 4, true, 34), masks(), adam());
+        // The trainer matches the checkpoint; its compute model lacks the bias.
+        let mut no_bias = Linear::new(4, 4, false, 35);
+        let before = no_bias.params()[0].value.as_slice().to_vec();
+        let err = tr2.restore(&ckpt, &mut no_bias).unwrap_err();
+        assert!(err.contains("model has 1 parameter tensors"), "{err}");
+        assert_eq!(
+            no_bias.params()[0].value.as_slice(),
+            &before[..],
+            "refused restore wrote"
+        );
     }
 
     #[test]

@@ -163,3 +163,20 @@ fn killed_stage_errors_then_heal_restore_resyncs_bitwise() {
         );
     }
 }
+
+/// Every rank checks the whole checkpoint's structure, not just its own
+/// slice: a checkpoint of a larger model — here eight tensors whose
+/// first six match the pipeline's shape for shape — is refused, and the
+/// group keeps training.
+#[test]
+fn restore_rejects_a_checkpoint_of_a_larger_model() {
+    let mut pp = build_pipeline(2, 31, Duration::from_secs(10));
+    let mut larger = build_model(31).push(Linear::new(WIDTH, WIDTH, true, 99));
+    let masks = masks_for(&larger, 131);
+    let checkpoint = SamoTrainer::new(&mut larger, masks, adam()).save();
+    let err = pp
+        .restore(&checkpoint)
+        .expect_err("an 8-tensor checkpoint must not restore into a 6-tensor pipeline");
+    assert!(err.contains("checkpoint has 8 layers"), "{err}");
+    pipeline_step(&mut pp, 0).expect("a refused restore leaves the group healthy");
+}

@@ -21,7 +21,8 @@ use std::sync::OnceLock;
 /// replicas with per-rank remainders).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepEvent {
-    /// Which trainer produced the event: `samo`, `dense_masked`, `samo_dp`.
+    /// Which trainer produced the event: `samo`, `dense_masked`,
+    /// `samo_dp_threaded`.
     pub kind: &'static str,
     /// 0-based index of this `step()` call (applied or skipped).
     pub step: u64,

@@ -1,6 +1,7 @@
 //! Integration: ZeRO-sharded data-parallel SAMO on a real CNN — the
 //! whole reproduction stack in one test (conv/batchnorm/pool substrate,
-//! BN-scale pruning, compressed all-reduce, sharded optimizer).
+//! BN-scale pruning, compressed ring all-reduce across rank threads,
+//! sharded optimizer).
 
 use models::tiny_cnn::{ShapeDataset, TinyCnn, CNN_CLASSES};
 use nn::layer::Layer;
@@ -8,7 +9,7 @@ use nn::loss::cross_entropy;
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::SgdConfig;
 use prune::Mask;
-use samo::data_parallel::DataParallelSamo;
+use samo::ThreadedDataParallelSamo;
 
 fn masks_for(cnn: &TinyCnn) -> Vec<Mask> {
     cnn.params()
@@ -31,52 +32,41 @@ fn two_rank_samo_cnn_learns_shapes() {
         weight_decay: 0.0,
     });
     let masks = masks_for(&TinyCnn::new(2));
-    let mut dp = DataParallelSamo::new(vec![TinyCnn::new(2), TinyCnn::new(2)], masks, opt);
+    let mut dp = ThreadedDataParallelSamo::new(vec![TinyCnn::new(2), TinyCnn::new(2)], masks, opt);
     dp.set_scaler(LossScaler::new(128.0));
 
-    let mut ds0 = ShapeDataset::new(10);
-    let mut ds1 = ShapeDataset::new(11);
+    let mut datasets = [ShapeDataset::new(10), ShapeDataset::new(11)];
     for _ in 0..80 {
-        for (r, ds) in [(0usize, &mut ds0), (1usize, &mut ds1)] {
-            let scale = dp.loss_scale();
-            let (x, labels) = ds.sample(8);
-            let m = dp.replica_mut(r);
-            let logits = m.forward(&x);
-            let (_, mut d) = cross_entropy(&logits, &labels);
+        let batches: Vec<_> = datasets.iter_mut().map(|ds| ds.sample(8)).collect();
+        dp.step(move |r, m, scale| {
+            let (x, labels) = &batches[r];
+            let logits = m.forward(x);
+            let (_, mut d) = cross_entropy(&logits, labels);
             tensor::ops::scale(scale, d.as_mut_slice());
-            m.backward(&d);
-        }
-        dp.step();
+            d
+        })
+        .expect("healthy mesh");
     }
     assert!(dp.steps_taken() >= 70, "most steps applied: {}", dp.steps_taken());
 
-    // Both replicas agree bitwise and classify well above chance.
+    // BN running stats saw different shards, so compare parameters: the
+    // *parameters* must be identical across ranks.
+    let params = |m: &mut TinyCnn, _: &[_]| -> Vec<Vec<f32>> {
+        m.params().iter().map(|p| p.value.as_slice().to_vec()).collect()
+    };
+    assert_eq!(dp.with_rank(0, params), dp.with_rank(1, params), "rank parameters diverged");
+
+    // And rank 0 classifies well above chance.
     let mut eval_ds = ShapeDataset::new(99);
     let (x, labels) = eval_ds.sample(64);
-    let logits0 = {
-        let m = dp.replica_mut(0);
+    let logits0 = dp.with_rank(0, move |m, _| {
         m.set_training(false);
         m.forward(&x)
-    };
-    let logits1 = {
-        let m = dp.replica_mut(1);
-        m.set_training(false);
-        m.forward(&x)
-    };
-    // BN running stats saw different shards, so relax to parameters:
-    // the *parameters* must be identical across ranks.
-    let p0: Vec<Vec<f32>> = dp.replica_mut(0).params().iter().map(|p| p.value.as_slice().to_vec()).collect();
-    let p1: Vec<Vec<f32>> = dp.replica_mut(1).params().iter().map(|p| p.value.as_slice().to_vec()).collect();
-    assert_eq!(p0, p1, "rank parameters diverged");
-
-    let acc = |logits: &tensor::Tensor| {
-        tensor::ops::argmax_rows(logits.as_slice(), 64, CNN_CLASSES)
-            .iter()
-            .zip(&labels)
-            .filter(|(p, l)| p == l)
-            .count()
-    };
-    let a0 = acc(&logits0);
+    });
+    let a0 = tensor::ops::argmax_rows(logits0.as_slice(), 64, CNN_CLASSES)
+        .iter()
+        .zip(&labels)
+        .filter(|(p, l)| p == l)
+        .count();
     assert!(a0 > 30, "accuracy {a0}/64 too low");
-    let _ = logits1;
 }

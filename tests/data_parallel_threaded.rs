@@ -1,8 +1,11 @@
 //! Integration: the thread-per-rank data-parallel runtime over the
-//! `comms` ring all-reduce is **bitwise interchangeable** with the
-//! in-process `DataParallelSamo`, and injected rank failures surface as
-//! timeouts (never hangs) with checkpoint-restore resynchronizing the
-//! group exactly.
+//! `comms` ring all-reduce is **bitwise interchangeable** with a
+//! single-process `SamoTrainer` fed the exact mean of the ranks'
+//! gradients, and injected rank failures surface as timeouts (never
+//! hangs) with checkpoint-restore resynchronizing the group exactly.
+
+#[path = "../crates/core/tests/support/dp_oracle.rs"]
+mod dp_oracle;
 
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -10,8 +13,8 @@ use nn::loss::mse;
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
 use prune::Mask;
-use samo::data_parallel::DataParallelSamo;
 use samo::threaded::ThreadedDataParallelSamo;
+use samo::trainer::{samo_ring_allreduce_bytes, SamoTrainer};
 use std::time::{Duration, Instant};
 use tensor::Tensor;
 
@@ -47,29 +50,38 @@ fn batch(step: u64, rank: usize) -> (Tensor, Tensor) {
     (x, t)
 }
 
-/// Drives one in-process step with the same math the threaded closure
-/// runs: forward, MSE, scale, backward.
-fn drive_inproc(dp: &mut DataParallelSamo<Sequential>, step: u64) {
-    for r in 0..dp.world_size() {
-        let scale = dp.loss_scale();
-        let (x, t) = batch(step, r);
-        let m = dp.replica_mut(r);
-        let y = m.forward(&x);
-        let (_, mut dy) = mse(&y, &t);
-        tensor::ops::scale(scale, dy.as_mut_slice());
-        m.backward(&dy);
-    }
-    dp.step();
-}
-
-fn threaded_step(th: &mut ThreadedDataParallelSamo<Sequential>, step: u64) -> Result<bool, String> {
-    th.step(move |rank, m, scale| {
+/// Forward, MSE and loss-scaled output gradient of `rank`'s batch at
+/// `step`: the per-rank work of both the threaded group and the oracle.
+fn seed(step: u64) -> impl Fn(usize, &mut Sequential, f32) -> Tensor + Send + Sync + 'static {
+    move |rank, m, scale| {
         let (x, t) = batch(step, rank);
         let y = m.forward(&x);
         let (_, mut dy) = mse(&y, &t);
         tensor::ops::scale(scale, dy.as_mut_slice());
         dy
-    })
+    }
+}
+
+/// The single-process oracle: one replica and its trainer.
+struct Oracle {
+    model: Sequential,
+    trainer: SamoTrainer,
+}
+
+fn oracle(seed_model: u64) -> Oracle {
+    let mut model = model(seed_model);
+    let mut trainer = SamoTrainer::new(&mut model, masks(), adam());
+    trainer.scaler = LossScaler::new(1024.0);
+    Oracle { model, trainer }
+}
+
+/// Drives one oracle step over `world` ranks' batches.
+fn drive_inproc(dp: &mut Oracle, world: usize, step: u64) {
+    dp_oracle::oracle_step(&mut dp.trainer, &mut dp.model, world, seed(step));
+}
+
+fn threaded_step(th: &mut ThreadedDataParallelSamo<Sequential>, step: u64) -> Result<bool, String> {
+    th.step(seed(step))
 }
 
 /// Satellite #6: same seeds, same loss-scale schedule → the threaded
@@ -80,32 +92,31 @@ fn threaded_step(th: &mut ThreadedDataParallelSamo<Sequential>, step: u64) -> Re
 #[test]
 fn threaded_matches_inproc_bitwise() {
     let world = 3;
-    let mut dp =
-        DataParallelSamo::new((0..world).map(|_| model(7)).collect(), masks(), adam());
-    dp.set_scaler(LossScaler::new(1024.0));
+    let mut dp = oracle(7);
     let mut th =
         ThreadedDataParallelSamo::new((0..world).map(|_| model(7)).collect(), masks(), adam());
     th.set_scaler(LossScaler::new(1024.0));
 
     for step in 0..10u64 {
-        drive_inproc(&mut dp, step);
+        drive_inproc(&mut dp, world, step);
         threaded_step(&mut th, step).expect("healthy mesh");
-        assert_eq!(dp.loss_scale(), th.loss_scale(), "scale diverged at step {step}");
+        assert_eq!(dp.trainer.loss_scale(), th.loss_scale(), "scale diverged at step {step}");
         assert_eq!(
-            dp.save().as_ref(),
+            dp.trainer.save().as_ref(),
             th.save().as_ref(),
             "training state diverged at step {step}"
         );
     }
-    assert_eq!(dp.steps_taken(), th.steps_taken());
-    assert_eq!(dp.steps_skipped(), th.steps_skipped());
-    // Both account collective volume with the same ring formula.
-    assert_eq!(dp.allreduce_bytes(), th.allreduce_bytes());
+    assert_eq!(dp.trainer.steps_taken(), th.steps_taken());
+    assert_eq!(dp.trainer.steps_skipped(), th.steps_skipped());
+    // The group accounts collective volume with the ring formula.
+    let per_step = samo_ring_allreduce_bytes(dp.trainer.nnz() as u64, world as u64);
+    assert_eq!(th.allreduce_bytes(), 10 * per_step);
 
-    // And the replicas themselves hold identical dense parameters.
+    // And every replica holds the oracle's dense parameters.
+    let want: Vec<Vec<f32>> =
+        dp.model.params().iter().map(|p| p.value.as_slice().to_vec()).collect();
     for r in 0..world {
-        let want: Vec<Vec<f32>> =
-            dp.replica_mut(r).params().iter().map(|p| p.value.as_slice().to_vec()).collect();
         let got = th.with_rank(r, |m, _| {
             m.params().iter().map(|p| p.value.as_slice().to_vec()).collect::<Vec<_>>()
         });
@@ -116,17 +127,14 @@ fn threaded_matches_inproc_bitwise() {
 /// Satellite #3: killing a rank's links makes the step fail with a
 /// timeout within the deadline — no hang, no panic — the group then
 /// refuses further steps until restored, and a checkpoint restore
-/// resynchronizes it bitwise with an in-process trainer that never
-/// failed (the in-process side also runs its own `rank_failure_drill`).
+/// resynchronizes it bitwise with an oracle that never failed.
 #[test]
 fn killed_rank_times_out_and_restore_resyncs_bitwise() {
     let world = 3;
     let fail_at = 4u64;
     let total = 8u64;
 
-    let mut dp =
-        DataParallelSamo::new((0..world).map(|_| model(21)).collect(), masks(), adam());
-    dp.set_scaler(LossScaler::new(1024.0));
+    let mut dp = oracle(21);
     let mut th = ThreadedDataParallelSamo::with_comm_timeout(
         (0..world).map(|_| model(21)).collect(),
         masks(),
@@ -136,13 +144,11 @@ fn killed_rank_times_out_and_restore_resyncs_bitwise() {
     th.set_scaler(LossScaler::new(1024.0));
 
     for step in 0..fail_at {
-        drive_inproc(&mut dp, step);
+        drive_inproc(&mut dp, world, step);
         threaded_step(&mut th, step).expect("healthy mesh");
     }
     let checkpoint = th.save();
-    assert_eq!(checkpoint.as_ref(), dp.save().as_ref(), "pre-failure state diverged");
-    // The in-process trainer survives its own drill without state drift.
-    dp.rank_failure_drill(1).expect("in-process drill");
+    assert_eq!(checkpoint.as_ref(), dp.trainer.save().as_ref(), "pre-failure state diverged");
 
     // Node 1 dies: every link in and out goes dark.
     th.faults().kill_rank(1, world);
@@ -168,13 +174,13 @@ fn killed_rank_times_out_and_restore_resyncs_bitwise() {
     th.faults().heal_rank(1, world);
     th.restore(&checkpoint).expect("restore after heal");
     for step in fail_at..total {
-        drive_inproc(&mut dp, step);
+        drive_inproc(&mut dp, world, step);
         threaded_step(&mut th, step).expect("healed mesh");
     }
     assert_eq!(
         th.save().as_ref(),
-        dp.save().as_ref(),
-        "restored threaded group must match the never-failed in-process trainer bitwise"
+        dp.trainer.save().as_ref(),
+        "restored threaded group must match the never-failed oracle bitwise"
     );
 }
 
