@@ -2,7 +2,8 @@
 //! thread-per-rank `comms` runtime, recorded to `BENCH_hotpaths.json`.
 //!
 //! For each world size every rank runs on its own OS thread with its own
-//! [`Communicator`] over an in-process transport mesh, so the number
+//! [`comms::Communicator`] over an in-process transport mesh (the
+//! transport-generic driver `repro tcp` also uses), so the number
 //! includes the real synchronization cost of the chunked ring schedule
 //! (reduce-scatter + all-gather), not just the arithmetic. Two buffer
 //! sizes are compared:
@@ -20,73 +21,12 @@
 //! the f64 reduce-scatter partials) are recorded alongside the modeled
 //! f16 volume so the protocol overhead stays visible.
 
-use comms::{CommsError, Communicator, InProcTransport, Transport};
-use std::sync::Mutex;
-use std::time::Instant;
+use crate::tcp_bench::bench_mesh;
+use comms::InProcTransport;
 use telemetry::json::Json;
-use tensor::f16::F16;
 
 /// Compression factor `f` at the paper's headline sparsity p = 0.9.
 const COMPRESSION_FACTOR: usize = 10;
-
-/// One world-size measurement of a single buffer size.
-struct Run {
-    best_ms: f64,
-    /// Modeled f16 ring volume per rank per all-reduce.
-    model_bytes: u64,
-    /// Measured transport bytes per rank per all-reduce (headers + f64
-    /// reduce-scatter partials included).
-    wire_bytes: u64,
-}
-
-/// Times `reps` chunked ring all-reduces of `n` f16 elements on `world`
-/// rank threads, `best_of` samples; each sample spawns a fresh mesh so
-/// thread start-up costs are identical across samples and sizes.
-fn bench_allreduce(world: usize, n: usize, best_of: usize, reps: usize) -> Result<Run, String> {
-    let mut best_ms = f64::INFINITY;
-    let mut model_bytes = 0u64;
-    let mut wire_bytes = 0u64;
-    for _ in 0..best_of {
-        let mesh = InProcTransport::mesh(world);
-        let totals: Mutex<(u64, u64)> = Mutex::new((0, 0));
-        let t0 = Instant::now();
-        std::thread::scope(|s| -> Result<(), String> {
-            let handles: Vec<_> = mesh
-                .into_iter()
-                .map(|t| {
-                    let totals = &totals;
-                    s.spawn(move || -> Result<(), CommsError> {
-                        let mut comm = Communicator::new(t);
-                        let rank = comm.rank();
-                        let mut buf: Vec<F16> = (0..n)
-                            .map(|i| F16::from_f32(((i + rank) % 31) as f32 * 0.03125 - 0.5))
-                            .collect();
-                        for _ in 0..reps {
-                            comm.allreduce_mean_f16(&mut buf)?;
-                        }
-                        let mut tl = totals.lock().unwrap();
-                        tl.0 += comm.model_allreduce_bytes();
-                        tl.1 += comm.transport().bytes_sent();
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join()
-                    .map_err(|_| "rank thread panicked".to_string())?
-                    .map_err(|e| format!("all-reduce failed: {e}"))?;
-            }
-            Ok(())
-        })?;
-        let ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
-        best_ms = best_ms.min(ms);
-        let (model, wire) = *totals.lock().unwrap();
-        let per_op = reps as u64 * world as u64;
-        model_bytes = model / per_op;
-        wire_bytes = wire / per_op;
-    }
-    Ok(Run { best_ms, model_bytes, wire_bytes })
-}
 
 /// Runs the suite: worlds 2/4/8, dense `phi` vs compressed `phi/f`,
 /// table + CSV to `results/`, and a `comms` section merged into
@@ -113,8 +53,9 @@ pub fn run(quick: bool) -> Result<(), String> {
     );
     let mut world_rows: Vec<Json> = Vec::new();
     for &world in worlds {
-        let dense = bench_allreduce(world, phi, best_of, reps)?;
-        let comp = bench_allreduce(world, nnz, best_of, reps)?;
+        let mesh = || Ok(InProcTransport::mesh(world));
+        let dense = bench_mesh(mesh, world, phi, best_of, reps)?;
+        let comp = bench_mesh(mesh, world, nnz, best_of, reps)?;
 
         let ratio = comp.model_bytes as f64 / dense.model_bytes as f64;
         // The headline acceptance check: the compressed collective moves

@@ -47,20 +47,24 @@ fn oracle_mean(world: usize, n: usize) -> Vec<F16> {
         .collect()
 }
 
-struct Run {
-    best_ms: f64,
+/// One world-size measurement of a single buffer size.
+pub(crate) struct Run {
+    pub best_ms: f64,
     /// Modeled f16 ring volume per rank per all-reduce.
-    model_bytes: u64,
-    /// Measured transport bytes per rank per all-reduce.
-    wire_bytes: u64,
+    pub model_bytes: u64,
+    /// Measured transport bytes per rank per all-reduce (headers and
+    /// f64 reduce-scatter partials included).
+    pub wire_bytes: u64,
     /// Rank 0's reduced buffer from the last sample (bitwise checked).
     reduced: Vec<F16>,
 }
 
 /// Times `reps` ring all-reduces of `n` f16 elements on `world` rank
-/// threads over the given endpoints; a fresh mesh per sample so socket
-/// and thread start-up costs are identical across samples.
-fn bench_mesh<T, F>(make_mesh: F, world: usize, n: usize, best_of: usize, reps: usize) -> Result<Run, String>
+/// threads over the given endpoints, best of `best_of` samples; a fresh
+/// mesh per sample so socket and thread start-up costs are identical
+/// across samples and sizes. `repro comms` runs it on the in-process
+/// mesh.
+pub(crate) fn bench_mesh<T, F>(make_mesh: F, world: usize, n: usize, best_of: usize, reps: usize) -> Result<Run, String>
 where
     T: Transport + Send + 'static,
     F: Fn() -> Result<Vec<T>, String>,

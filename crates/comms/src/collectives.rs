@@ -157,12 +157,18 @@ impl<T: Transport> Communicator<T> {
         Instant::now() + self.timeout
     }
 
-    fn ready(&self) -> Result<(), CommsError> {
+    /// Runs one public operation: refused once poisoned, and any error
+    /// it returns poisons the communicator until the next epoch.
+    fn guarded<R>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<R, CommsError>,
+    ) -> Result<R, CommsError> {
         if self.poisoned {
-            Err(CommsError::Poisoned)
-        } else {
-            Ok(())
+            return Err(CommsError::Poisoned);
         }
+        let res = op(self);
+        self.poisoned |= res.is_err();
+        res
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -334,10 +340,7 @@ impl<T: Transport> Communicator<T> {
     /// signals `r + 2ᵏ` and waits on `r − 2ᵏ`. Returns only after every
     /// rank has entered the barrier.
     pub fn barrier(&mut self) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.barrier_inner();
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(Self::barrier_inner)
     }
 
     fn barrier_inner(&mut self) -> Result<(), CommsError> {
@@ -369,33 +372,31 @@ impl<T: Transport> Communicator<T> {
     /// Broadcasts `root`'s buffer to every rank (ring chain). Buffer
     /// lengths must agree across ranks.
     pub fn broadcast_f16(&mut self, root: usize, buf: &mut [F16]) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.broadcast_inner(root, &mut |payload| match payload {
-            None => Some(Payload::F16(buf.to_vec())),
-            Some(Payload::F16(v)) if v.len() == buf.len() => {
-                buf.copy_from_slice(&v);
-                None
-            }
-            Some(_) => Some(Payload::Bytes(Vec::new())), // signals mismatch below
-        });
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(|c| {
+            c.broadcast_inner(root, &mut |payload| match payload {
+                None => Some(Payload::F16(buf.to_vec())),
+                Some(Payload::F16(v)) if v.len() == buf.len() => {
+                    buf.copy_from_slice(&v);
+                    None
+                }
+                Some(_) => Some(Payload::Bytes(Vec::new())), // signals mismatch below
+            })
+        })
     }
 
     /// Broadcasts `root`'s bytes to every rank; non-root inputs are
     /// replaced.
     pub fn broadcast_bytes(&mut self, root: usize, data: &mut Vec<u8>) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.broadcast_inner(root, &mut |payload| match payload {
-            None => Some(Payload::Bytes(data.clone())),
-            Some(Payload::Bytes(v)) => {
-                *data = v;
-                None
-            }
-            Some(_) => Some(Payload::Bytes(Vec::new())),
-        });
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(|c| {
+            c.broadcast_inner(root, &mut |payload| match payload {
+                None => Some(Payload::Bytes(data.clone())),
+                Some(Payload::Bytes(v)) => {
+                    *data = v;
+                    None
+                }
+                Some(_) => Some(Payload::Bytes(Vec::new())),
+            })
+        })
     }
 
     /// Chain broadcast from `root`. `exchange(None)` yields the local
@@ -450,91 +451,26 @@ impl<T: Transport> Communicator<T> {
         mine: &[F16],
         counts: &[usize],
     ) -> Result<Vec<F16>, CommsError> {
-        self.ready()?;
-        let res = self.all_gather_inner(mine, counts);
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(|c| c.all_gather_inner(mine, counts))
     }
 
-    fn all_gather_inner(
-        &mut self,
-        mine: &[F16],
-        counts: &[usize],
-    ) -> Result<Vec<F16>, CommsError> {
-        let g = self.world();
-        let r = self.rank();
-        if counts.len() != g {
-            return Err(CommsError::Mismatch(format!(
-                "all_gather counts has {} entries for world {g}",
-                counts.len()
-            )));
-        }
-        if mine.len() != counts[r] {
-            return Err(CommsError::Mismatch(format!(
-                "rank {r} contributes {} elements, counts says {}",
-                mine.len(),
-                counts[r]
-            )));
-        }
-        let mut offsets = Vec::with_capacity(g + 1);
-        let mut total = 0usize;
-        for &c in counts {
-            offsets.push(total);
-            total += c;
-        }
-        offsets.push(total);
-        let mut out = vec![F16::ZERO; total];
-        out[offsets[r]..offsets[r] + mine.len()].copy_from_slice(mine);
-        if g == 1 {
-            return Ok(out);
-        }
-        let sp = telemetry::enabled().then(|| telemetry::span("comms.allgather"));
-        let id = self.fresh_id();
-        let deadline = self.deadline();
-        for s in 0..g - 1 {
-            let send_seg = (r + g - s) % g;
-            let tag = self.tag(Kind::AllGather, id, s as u32);
-            let chunk = out[offsets[send_seg]..offsets[send_seg + 1]].to_vec();
-            let next = self.next();
-            self.send_traced(next, Message { tag, payload: Payload::F16(chunk) })?;
-            let recv_seg = (r + g - s - 1) % g;
-            let msg = self.recv_match(self.prev(), tag, deadline)?;
-            let Payload::F16(vals) = msg.payload else {
-                return Err(CommsError::Mismatch("all_gather expects f16 payloads".into()));
-            };
-            if vals.len() != counts[recv_seg] {
-                return Err(CommsError::Mismatch(format!(
-                    "all_gather segment {recv_seg}: got {} elements, want {}",
-                    vals.len(),
-                    counts[recv_seg]
-                )));
-            }
-            out[offsets[recv_seg]..offsets[recv_seg + 1]].copy_from_slice(&vals);
-        }
-        drop(sp);
-        Ok(out)
-    }
-
-    /// Ring all-gather of **f32** segments — the f32 twin of
-    /// [`Self::all_gather_f16`]. Used by the dynamic-sparsity remap path
-    /// to reassemble full-precision shard state (`θ32`/moments) on every
-    /// rank before the masks move; gradients keep using the f16 gather.
+    /// Ring all-gather of **f32** segments, as [`Self::all_gather_f16`].
+    /// Used by the dynamic-sparsity remap path to reassemble
+    /// full-precision shard state (`θ32`/moments) on every rank before
+    /// the masks move; gradients keep using the f16 gather.
     pub fn all_gather_f32(
         &mut self,
         mine: &[f32],
         counts: &[usize],
     ) -> Result<Vec<f32>, CommsError> {
-        self.ready()?;
-        let res = self.all_gather_f32_inner(mine, counts);
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(|c| c.all_gather_inner(mine, counts))
     }
 
-    fn all_gather_f32_inner(
+    fn all_gather_inner<E: GatherElem>(
         &mut self,
-        mine: &[f32],
+        mine: &[E],
         counts: &[usize],
-    ) -> Result<Vec<f32>, CommsError> {
+    ) -> Result<Vec<E>, CommsError> {
         let g = self.world();
         let r = self.rank();
         if counts.len() != g {
@@ -557,7 +493,7 @@ impl<T: Transport> Communicator<T> {
             total += c;
         }
         offsets.push(total);
-        let mut out = vec![0.0f32; total];
+        let mut out = vec![E::default(); total];
         out[offsets[r]..offsets[r] + mine.len()].copy_from_slice(mine);
         if g == 1 {
             return Ok(out);
@@ -570,11 +506,14 @@ impl<T: Transport> Communicator<T> {
             let tag = self.tag(Kind::AllGather, id, s as u32);
             let chunk = out[offsets[send_seg]..offsets[send_seg + 1]].to_vec();
             let next = self.next();
-            self.send_traced(next, Message { tag, payload: Payload::F32(chunk) })?;
+            self.send_traced(next, Message { tag, payload: E::wrap(chunk) })?;
             let recv_seg = (r + g - s - 1) % g;
             let msg = self.recv_match(self.prev(), tag, deadline)?;
-            let Payload::F32(vals) = msg.payload else {
-                return Err(CommsError::Mismatch("all_gather_f32 expects f32 payloads".into()));
+            let Some(vals) = E::unwrap(msg.payload) else {
+                return Err(CommsError::Mismatch(format!(
+                    "all_gather expects {} payloads",
+                    E::NAME
+                )));
             };
             if vals.len() != counts[recv_seg] {
                 return Err(CommsError::Mismatch(format!(
@@ -607,11 +546,10 @@ impl<T: Transport> Communicator<T> {
         step: u32,
         data: Vec<f32>,
     ) -> Result<(), CommsError> {
-        self.ready()?;
-        let tag = self.tag(Kind::P2p, id, step);
-        let res = self.send_traced(to, Message { tag, payload: Payload::F32(data) });
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(|c| {
+            let tag = c.tag(Kind::P2p, id, step);
+            c.send_traced(to, Message { tag, payload: Payload::F32(data) })
+        })
     }
 
     /// Blocks until the p2p message tagged `(id, step)` arrives from
@@ -619,26 +557,14 @@ impl<T: Transport> Communicator<T> {
     /// surfaces as a bounded [`CommsError::Timeout`], never a hang).
     /// Early arrivals with other tags are stashed, never misrouted.
     pub fn recv_p2p(&mut self, from: usize, id: u64, step: u32) -> Result<Vec<f32>, CommsError> {
-        self.ready()?;
-        let deadline = self.deadline();
-        let res = self.recv_p2p_inner(from, id, step, deadline);
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn recv_p2p_inner(
-        &mut self,
-        from: usize,
-        id: u64,
-        step: u32,
-        deadline: Instant,
-    ) -> Result<Vec<f32>, CommsError> {
-        let want = self.tag(Kind::P2p, id, step);
-        let msg = self.recv_match(from, want, deadline)?;
-        let Payload::F32(v) = msg.payload else {
-            return Err(CommsError::Mismatch("p2p expects f32 payloads".into()));
-        };
-        Ok(v)
+        self.guarded(|c| {
+            let (want, deadline) = (c.tag(Kind::P2p, id, step), c.deadline());
+            let msg = c.recv_match(from, want, deadline)?;
+            let Payload::F32(v) = msg.payload else {
+                return Err(CommsError::Mismatch("p2p expects f32 payloads".into()));
+            };
+            Ok(v)
+        })
     }
 
     /// Non-blocking variant of [`Self::recv_p2p`]: returns `Ok(None)`
@@ -651,10 +577,7 @@ impl<T: Transport> Communicator<T> {
         id: u64,
         step: u32,
     ) -> Result<Option<Vec<f32>>, CommsError> {
-        self.ready()?;
-        let res = self.try_recv_p2p_inner(from, id, step);
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(|c| c.try_recv_p2p_inner(from, id, step))
     }
 
     fn try_recv_p2p_inner(
@@ -748,10 +671,7 @@ impl<T: Transport> Communicator<T> {
     /// drive with [`Self::ring_pump`] / [`Self::ring_finish`], collect
     /// with [`Self::take_completed`].
     pub fn ring_start(&mut self, data: Vec<F16>) -> Result<u64, CommsError> {
-        self.ready()?;
-        let res = self.ring_start_inner(data);
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(|c| c.ring_start_inner(data))
     }
 
     fn ring_start_inner(&mut self, mut data: Vec<F16>) -> Result<u64, CommsError> {
@@ -783,10 +703,7 @@ impl<T: Transport> Communicator<T> {
     /// Makes progress on every in-flight ring without blocking. Call
     /// between gradient buckets to overlap communication with compute.
     pub fn ring_pump(&mut self) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.ring_pump_inner();
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(Self::ring_pump_inner)
     }
 
     fn ring_pump_inner(&mut self) -> Result<(), CommsError> {
@@ -804,10 +721,7 @@ impl<T: Transport> Communicator<T> {
     /// Blocks until every in-flight ring completes (or the deadline
     /// passes — a cut link surfaces here as `Timeout`, never a hang).
     pub fn ring_finish(&mut self) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.ring_finish_inner();
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(Self::ring_finish_inner)
     }
 
     fn ring_finish_inner(&mut self) -> Result<(), CommsError> {
@@ -1026,6 +940,39 @@ impl<T: Transport> Communicator<T> {
 
 /// Human-readable flow/slice label for a message tag. Flow pairs match
 /// on `cat` + `id`; the name is what Perfetto shows on the arrow.
+/// An element type the ring all-gather moves: its payload variant.
+trait GatherElem: Copy + Default {
+    const NAME: &'static str;
+    fn wrap(v: Vec<Self>) -> Payload;
+    fn unwrap(p: Payload) -> Option<Vec<Self>>;
+}
+
+impl GatherElem for F16 {
+    const NAME: &'static str = "f16";
+    fn wrap(v: Vec<F16>) -> Payload {
+        Payload::F16(v)
+    }
+    fn unwrap(p: Payload) -> Option<Vec<F16>> {
+        match p {
+            Payload::F16(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+impl GatherElem for f32 {
+    const NAME: &'static str = "f32";
+    fn wrap(v: Vec<f32>) -> Payload {
+        Payload::F32(v)
+    }
+    fn unwrap(p: Payload) -> Option<Vec<f32>> {
+        match p {
+            Payload::F32(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
 fn flow_name(tag: &Tag) -> String {
     let kind = match tag.kind {
         Kind::AllReduce => "ar",

@@ -114,9 +114,9 @@ pub fn ring_allreduce_model_bytes(n: u64, world: u64, elem_bytes: u64) -> u64 {
 }
 
 /// Contiguous partition of `n` elements into `parts` chunks, remainder
-/// spread one-per-chunk from the front — the same rule
-/// `samo::sharded::shard_bounds` uses for optimizer shards, duplicated
-/// here so `comms` stays independent of the training crates.
+/// spread one-per-chunk from the front: the ring all-reduce segments,
+/// pipeline stage blocks, and the ZeRO shard ranges of `samo`'s
+/// compressed layer state.
 pub fn segment_bounds(n: usize, parts: usize) -> Vec<(usize, usize)> {
     assert!(parts >= 1);
     let base = n / parts;

@@ -13,13 +13,14 @@
 //! * [`memory`] — the Sec. III-D analytical model (Fig. 2) and byte-exact
 //!   accounting,
 //! * [`state`] — [`state::SamoLayerState`], the per-layer compressed
-//!   mixed-precision model state and its three-phase optimizer step,
+//!   mixed-precision model state (whole, or a ZeRO rank's shard of its
+//!   optimizer-side tensors), its fused step kernels and the three-phase
+//!   reference step,
 //! * [`trainer`] — whole-model SAMO training (the one unsharded step:
 //!   remap → compress → verdict → optimizer), the dense masked baseline
 //!   it is numerically equivalent to, and the compressed all-reduce,
 //! * [`dist`] — [`DistDataParallel`], the trainer plus a cross-process
 //!   communicator (the `samo-launch` runtime),
-//! * [`sharded`] — ZeRO-style sharding of the compressed state,
 //! * [`threaded`] / [`pipeline`] — thread-per-rank data-parallel and
 //!   hybrid pipeline runtimes, sharing one sharded rank core and one
 //!   rank-thread host,
@@ -52,7 +53,6 @@ pub mod pipeline;
 mod rank;
 pub mod sentinel;
 pub mod serialize;
-pub mod sharded;
 pub mod state;
 pub mod threaded;
 pub mod trainer;
@@ -62,12 +62,13 @@ pub use checkpoint::{
     CheckpointSubscriber,
 };
 pub use compressed::{compress_f16, compress_f32, expand_f16, expand_f32};
-pub use memory::{m_default_bytes, m_samo_bytes, samo_savings_fraction, SamoBreakdown};
+pub use memory::{
+    m_default_bytes, m_samo_bytes, m_samo_zero_bytes, samo_savings_fraction, SamoBreakdown,
+};
 pub use dist::DistDataParallel;
 pub use pipeline::{PipelineConfig, StageStats, ThreadedPipelineSamo};
 pub use sentinel::{DivergenceSentinel, SentinelConfig, Verdict};
 pub use serialize::TrainerMeta;
-pub use sharded::{m_samo_zero_bytes, ShardedSamoLayerState};
 pub use state::SamoLayerState;
 pub use threaded::ThreadedDataParallelSamo;
 pub use trainer::{DenseMaskedTrainer, SamoTrainer};

@@ -73,7 +73,7 @@ pub use crate::rank::STRAGGLER_FACTOR;
 use crate::rank::{
     assert_replicas_agree, MeshMetrics, RankCore, RankDuration, RankGroup, ShardedRank,
 };
-use crate::sharded::ShardedSamoLayerState;
+use crate::state::SamoLayerState;
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::{Layer, Sequential};
 use nn::mixed::{LossScaler, Optimizer};
@@ -441,7 +441,12 @@ impl StageRank {
         // same flags, and replicas agree because the reduced gradient
         // bits are identical — so every rank's scaler stays in lockstep.
         self.core.finish_rings()?;
-        let flag = F16::from_f32(if self.core.finite() { 1.0 } else { 0.0 });
+        let overflow = self
+            .core
+            .states
+            .iter()
+            .any(SamoLayerState::grads_non_finite);
+        let flag = F16::from_f32(if overflow { 0.0 } else { 1.0 });
         let flags = self
             .pipe
             .all_gather_f16(&[flag], &vec![1usize; self.cfg.g_inter])?;
@@ -738,7 +743,7 @@ impl ThreadedPipelineSamo {
             }
         }
         ThreadedPipelineSamo {
-            group: RankGroup::spawn(ranks, opt, cfg.g_inter),
+            group: RankGroup::spawn(ranks, cfg.g_inter),
             cfg,
             pipe_faults,
             data_faults,
@@ -839,7 +844,7 @@ impl ThreadedPipelineSamo {
     pub fn with_rank<R, F>(&mut self, stage: usize, data_idx: usize, f: F) -> R
     where
         R: Send + 'static,
-        F: FnOnce(&mut Sequential, &[ShardedSamoLayerState]) -> R + Send + 'static,
+        F: FnOnce(&mut Sequential, &[SamoLayerState]) -> R + Send + 'static,
     {
         let i = data_idx * self.cfg.g_inter + stage;
         self.group

@@ -5,21 +5,21 @@
 //!
 //! A rank holds a compute model (a full replica or one pipeline stage
 //! block) and a [`RankCore`]: its ZeRO shard of the compressed state
-//! ([`ShardedSamoLayerState`]) plus the data-parallel mesh it reduces
-//! gradients over. One step on the core is: overlapped backward that
-//! compresses each parameter bucket and starts its ring as soon as the
-//! gradient is final ([`RankCore::backward_overlapped`]), ring
-//! completion ([`RankCore::finish_rings`]), then the scaler verdict and
-//! shard step + `all_gather_f16` + dense write-back
-//! ([`RankCore::conclude`]).
+//! ([`SamoLayerState`]s with a shard range) plus the data-parallel mesh
+//! it reduces gradients over. It steps with the same fused kernels as
+//! [`crate::SamoTrainer`]: overlapped backward that compresses each
+//! parameter bucket and starts its ring as soon as the gradient is final
+//! ([`RankCore::backward_overlapped`]), ring completion
+//! ([`RankCore::finish_rings`]), then the scaler verdict and fused shard
+//! step + `all_gather_f16` + expand ([`RankCore::conclude`]).
 
 use crate::serialize::{save_checkpoint, TrainerMeta};
-use crate::sharded::ShardedSamoLayerState;
+use crate::state::{RemapScratch, SamoLayerState};
 use crate::trainer::StepCounts;
 use comms::{CommsError, Communicator, Transport};
 use nn::layer::Layer;
 use nn::mixed::{LossScaler, Optimizer};
-use prune::Mask;
+use prune::{Mask, MaskSchedule};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,10 +66,17 @@ pub(crate) fn install_ring_means<T: Transport>(
     Ok(())
 }
 
+/// Per-rank element counts of a `world`-way shard of `nnz` compressed
+/// positions: the `counts` argument of the all-gathers.
+fn shard_counts(nnz: usize, world: usize) -> Vec<usize> {
+    let bounds = comms::segment_bounds(nnz, world);
+    bounds.iter().map(|(lo, hi)| hi - lo).collect()
+}
+
 /// One rank's sharded SAMO state and the data-parallel mesh its shards
 /// are reduced and gathered over.
 pub(crate) struct RankCore {
-    pub states: Vec<ShardedSamoLayerState>,
+    pub states: Vec<SamoLayerState>,
     pub opt: Optimizer,
     pub scaler: LossScaler,
     pub counts: StepCounts,
@@ -111,13 +118,8 @@ impl RankCore {
                     "mask shape mismatch for {}",
                     p.name
                 );
-                let st = ShardedSamoLayerState::from_params(
-                    p.value.as_slice(),
-                    mask.clone(),
-                    opt,
-                    rank,
-                    world,
-                );
+                let st = SamoLayerState::from_params(p.value.as_slice(), mask.clone(), opt)
+                    .shard(rank, world);
                 st.write_dense_f32_params_into(p.value.as_mut_slice());
                 st
             })
@@ -137,12 +139,12 @@ impl RankCore {
 
     /// Parameters φ in this rank's tensors.
     pub fn numel(&self) -> usize {
-        self.states.iter().map(ShardedSamoLayerState::numel).sum()
+        self.states.iter().map(SamoLayerState::numel).sum()
     }
 
     /// Unpruned parameters fφ in this rank's tensors.
     pub fn nnz(&self) -> usize {
-        self.states.iter().map(ShardedSamoLayerState::nnz).sum()
+        self.states.iter().map(SamoLayerState::nnz).sum()
     }
 
     /// Backward with the gradient all-reduce overlapped: as each
@@ -169,7 +171,8 @@ impl RankCore {
             }
             for (i, p) in params.iter().enumerate() {
                 let st = &mut states[off + i];
-                st.compress_grad(p.grad.as_slice());
+                // The verdict is taken on the reduced gradients.
+                st.compress_grad_fused(p.grad.as_slice());
                 match comm.ring_start(st.grad16.clone()) {
                     Ok(id) => ring_order.push((id, off + i)),
                     Err(e) => {
@@ -194,16 +197,6 @@ impl RankCore {
         })
     }
 
-    /// Whether every reduced gradient is finite. The reduced bits are
-    /// identical on every rank of the mesh, so every rank's scaler
-    /// reaches the same verdict without an extra collective.
-    pub fn finite(&self) -> bool {
-        !self
-            .states
-            .iter()
-            .any(|st| st.grad16.iter().any(|g| !g.is_finite()))
-    }
-
     /// Ends a step on the reduced gradients: feeds the overflow verdict
     /// to the scaler and counters, then on a good step runs
     /// [`Self::shard_step`] (timed under `span`, if given) and otherwise
@@ -225,34 +218,87 @@ impl RankCore {
         Ok((true, sp.map(telemetry::SpanGuard::finish)))
     }
 
-    /// Steps this rank's optimizer shard of every tensor, all-gathers
-    /// the updated f16 shards over the mesh, and writes the new dense
-    /// parameters into `model`, zeroing its gradients.
+    /// Steps this rank's optimizer shard of every tensor with the fused
+    /// kernel, all-gathers the updated f16 shards over the mesh, and
+    /// expands them into `θ16` and `model`'s parameters, zeroing its
+    /// gradients.
     pub fn shard_step(&mut self, model: &mut impl Layer, scale: f32) -> Result<(), CommsError> {
-        let world = self.comm.world();
-        let inv = 1.0 / scale;
-        for st in &mut self.states {
-            let shard16 = st.optimizer_step_shard(&self.opt, inv);
-            let counts: Vec<usize> = comms::segment_bounds(st.nnz(), world)
-                .iter()
-                .map(|(lo, hi)| hi - lo)
-                .collect();
-            debug_assert_eq!(
-                {
-                    let (lo, hi) = st.shard_range();
-                    hi - lo
-                },
-                counts[self.comm.rank()],
-                "comms::segment_bounds must match the optimizer shard partition"
-            );
-            let gathered = self.comm.all_gather_f16(&shard16, &counts)?;
-            st.install_gathered(&gathered);
-        }
-        for (p, st) in model.params_mut().into_iter().zip(&self.states) {
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
+        let (world, inv) = (self.comm.world(), 1.0 / scale);
+        for (st, p) in self.states.iter_mut().zip(model.params_mut()) {
+            let dense = p.value.as_mut_slice();
+            st.optimizer_step_fused(&self.opt, inv, dense);
+            let counts = shard_counts(st.nnz(), world);
+            let gathered = self.comm.all_gather_f16(&st.shard_theta16(), &counts)?;
+            st.install_gathered(&gathered, dense);
             p.zero_grad();
         }
         Ok(())
+    }
+
+    /// The dynamic-sparsity update step, run in place of the overlapped
+    /// compressed rings when `sched` fires; returns whether a mask moved.
+    ///
+    /// Every rank reduces the f16-narrowed *dense* gradient — bitwise
+    /// the values a compressed ring would agree on, and, widened, the
+    /// canonical grow score ([`crate::SamoTrainer`] ranks regrowth
+    /// candidates from exactly the same bits) — then computes the new
+    /// mask locally (inputs are identical on every rank, so no mask
+    /// broadcast is needed). A layer whose mask changes is reassembled
+    /// from every rank's shard (one [`Communicator::all_gather_f32`] per
+    /// sharded array), remapped with
+    /// [`SamoLayerState::remap_compressed_state`], and re-sharded: shard
+    /// bounds depend on `nnz`, so surviving values migrate between ranks
+    /// here. Finally the comms epoch is bumped in lockstep: the
+    /// compressed-gradient bucket layout has been renegotiated and any
+    /// stale in-flight bucket from the old layout is dropped by every
+    /// future receive.
+    pub fn remap_step(
+        &mut self,
+        model: &mut impl Layer,
+        sched: &MaskSchedule,
+    ) -> Result<bool, CommsError> {
+        let t = self.counts.index();
+        let RankCore {
+            states, comm, opt, ..
+        } = self;
+        let (rank, world) = (comm.rank(), comm.world());
+        let mut moved = false;
+        let params = model.params_mut();
+        assert_eq!(params.len(), states.len());
+        for (st, p) in states.iter_mut().zip(params) {
+            let mut dense16: Vec<F16> = p
+                .grad
+                .as_slice()
+                .iter()
+                .map(|&g| F16::from_f32(g))
+                .collect();
+            comm.allreduce_mean_f16(&mut dense16)?;
+            let score: Vec<f32> = dense16.iter().map(|g| g.to_f32()).collect();
+            let new_mask = sched.next_mask(t, p.value.as_slice(), &score, st.mask());
+            if &new_mask != st.mask() {
+                let counts = shard_counts(st.nnz(), world);
+                let arrays = st.sharded_arrays().into_iter();
+                let full = arrays.map(|a| comm.all_gather_f32(a, &counts));
+                let full = full.collect::<Result<_, _>>()?;
+                let mut full = st.clone().with_arrays(0, full);
+                let mut scratch = RemapScratch::for_layer(&mut full, opt);
+                full.remap_compressed_state(new_mask, &mut scratch);
+                *st = full.shard(rank, world);
+                st.write_dense_f32_params_into(p.value.as_mut_slice());
+                moved = true;
+            }
+            // The dense reduction above already carries the agreed
+            // gradient: install its compressed view under the (possibly
+            // new) mask directly, since the per-layer rings were skipped.
+            let ind = st.mask().indices().clone();
+            for (g, &ix) in st.grad16.iter_mut().zip(ind.iter()) {
+                *g = dense16[ix as usize];
+            }
+        }
+        if moved {
+            comm.bump_epoch();
+        }
+        Ok(moved)
     }
 
     /// Reloads this rank's shard of a full checkpoint into its states
@@ -263,7 +309,7 @@ impl RankCore {
         model: &mut impl Layer,
         checkpoint: &[u8],
     ) -> Result<Option<TrainerMeta>, String> {
-        let masks = self.states.iter().map(ShardedSamoLayerState::mask);
+        let masks = self.states.iter().map(SamoLayerState::mask);
         let r = crate::serialize::load_into(
             checkpoint,
             &self.opt,
@@ -273,8 +319,8 @@ impl RankCore {
             model,
         )?;
         let (rank, world) = (self.comm.rank(), self.comm.world());
-        for ((st, layer), p) in self.states.iter_mut().zip(&r.layers).zip(r.params) {
-            *st = ShardedSamoLayerState::from_full_layer(layer, &self.opt, rank, world);
+        for ((st, layer), p) in self.states.iter_mut().zip(r.layers).zip(r.params) {
+            *st = layer.shard(rank, world);
             st.write_dense_f32_params_into(p.value.as_mut_slice());
             p.zero_grad();
         }
@@ -386,7 +432,6 @@ pub(crate) struct RankGroup<R> {
     labels: Vec<String>,
     jobs: Vec<Sender<Job<R>>>,
     handles: Vec<JoinHandle<()>>,
-    opt: Optimizer,
     stages: usize,
     pub scaler: LossScaler,
     pub counts: StepCounts,
@@ -398,11 +443,7 @@ pub(crate) struct RankGroup<R> {
 impl<R: ShardedRank> RankGroup<R> {
     /// Spawns one thread per `(thread name, label, rank)`, in rank
     /// order. Labels prefix the errors a rank reports.
-    pub fn spawn(
-        mut ranks: Vec<(String, String, R)>,
-        opt: Optimizer,
-        stages: usize,
-    ) -> RankGroup<R> {
+    pub fn spawn(mut ranks: Vec<(String, String, R)>, stages: usize) -> RankGroup<R> {
         let (mut numel, mut nnz) = (0, 0);
         for r in &mut ranks[..stages] {
             let core = r.2.parts().1;
@@ -427,7 +468,6 @@ impl<R: ShardedRank> RankGroup<R> {
             labels,
             jobs,
             handles,
-            opt,
             stages,
             scaler: LossScaler::default(),
             counts: StepCounts::default(),
@@ -552,9 +592,9 @@ impl<R: ShardedRank> RankGroup<R> {
         let layers: Vec<_> = (0..g)
             .flat_map(|s| (0..snaps[s].len()).map(move |li| (s, li)))
             .map(|(s, li)| {
-                let shards: Vec<&ShardedSamoLayerState> =
+                let shards: Vec<&SamoLayerState> =
                     snaps.iter().skip(s).step_by(g).map(|st| &st[li]).collect();
-                ShardedSamoLayerState::to_full_layer(&shards, &self.opt)
+                SamoLayerState::concat(&shards)
             })
             .collect();
         save_checkpoint(&layers, &self.counts.meta(&self.scaler))

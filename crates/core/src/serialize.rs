@@ -145,6 +145,7 @@ pub fn save_checkpoint(layers: &[SamoLayerState], meta: &TrainerMeta) -> Bytes {
     buf.put_slice(&sec);
 
     for layer in layers {
+        layer.assert_unsharded("save_checkpoint");
         let mut sec: Vec<u8> = Vec::new();
         put_layer(&mut sec, layer);
         buf.put_u32_le(crc32(&sec));

@@ -13,12 +13,22 @@
 //! | `∇θ16`   | compressed  | `2fφ` B   |
 //! | `∇θ32`   | compressed  | `4fφ` B   |
 //! | `os`     | compressed  | `8fφ` B   |
+//!
+//! A ZeRO data-parallel rank keeps the same structure with a **shard
+//! range**: `θ32`, `∇θ32` and `os` cover only its contiguous slice
+//! [`comms::segment_bounds`]`(nnz, d)[rank]` of the compressed space,
+//! while `θ16`, the index and `∇θ16` stay whole (forward/backward and the
+//! gradient all-reduce need them), so a rank holds `2φ + 6fφ + 18fφ/d`
+//! bytes ([`crate::memory::m_samo_zero_bytes`]). Unsharded, the range is
+//! `0..nnz`. [`SamoLayerState::shard`] and [`SamoLayerState::concat`]
+//! convert between the two.
 
 use crate::compressed::{compress_f32, expand_f16_into, expand_f16_over_zeroed, SyncPtr};
 use crate::memory::SamoBreakdown;
 use nn::mixed::{OptState, Optimizer};
-use nn::optim::{adam_bias_corrections, adam_update, sgd_update};
+use nn::optim::{adam_bias_corrections, adam_update, sgd_update, AdamState, SgdState};
 use prune::Mask;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tensor::f16::{to_f32_table, F16};
 use tensor::pool::par_ranges;
@@ -28,20 +38,24 @@ use tensor::simd;
 /// chunk that fork–join overhead stays negligible.
 const STEP_MIN_CHUNK: usize = 32 * 1024;
 
-/// SAMO-compressed mixed-precision model state for one layer.
+/// SAMO-compressed mixed-precision model state for one layer, or one
+/// ZeRO rank's shard of it (see the module docs).
 #[derive(Clone, Debug)]
 pub struct SamoLayerState {
     mask: Mask,
+    /// First compressed position of the shard range `θ32`, `∇θ32` and
+    /// `os` cover; the range's length is `θ32`'s.
+    shard_lo: usize,
     /// Dense fp16 parameters — zeros explicitly present at pruned
     /// positions so dense kernels apply directly.
     pub theta16: Vec<F16>,
-    /// Compressed fp32 master parameters (length = nnz).
+    /// Compressed fp32 master parameters over the shard range.
     pub theta32: Vec<f32>,
-    /// Compressed fp16 gradients.
+    /// Compressed fp16 gradients (every compressed position).
     pub grad16: Vec<F16>,
-    /// Compressed fp32 gradients.
+    /// Compressed fp32 gradients over the shard range.
     pub grad32: Vec<f32>,
-    /// Compressed optimizer state.
+    /// Compressed optimizer state over the shard range.
     pub os: OptState,
 }
 
@@ -59,6 +73,7 @@ impl SamoLayerState {
         let nnz = mask.nnz();
         SamoLayerState {
             mask,
+            shard_lo: 0,
             theta16,
             theta32,
             grad16: vec![F16::ZERO; nnz],
@@ -90,7 +105,95 @@ impl SamoLayerState {
             grad32: vec![0.0; nnz],
             os,
             mask,
+            shard_lo: 0,
         }
+    }
+
+    /// Turns this unsharded layer into rank `rank`'s shard (of
+    /// `world`): `θ32`, `∇θ32` and `os` sliced to
+    /// [`comms::segment_bounds`]`(nnz, world)[rank]`, everything else
+    /// whole. Inverted by [`Self::concat`].
+    pub fn shard(self, rank: usize, world: usize) -> SamoLayerState {
+        self.assert_unsharded("shard");
+        let (lo, hi) = comms::segment_bounds(self.nnz(), world)[rank];
+        let arrays = self.sharded_arrays();
+        let arrays = arrays.iter().map(|a| a[lo..hi].to_vec()).collect();
+        self.with_arrays(lo, arrays)
+    }
+
+    /// The full layer reassembled from every rank's shard, in rank
+    /// order: the shards partition the compressed space, so
+    /// concatenation recovers exactly the unsharded state (`∇θ32`, which
+    /// the next step rebuilds, comes back zeroed).
+    pub fn concat(shards: &[&SamoLayerState]) -> SamoLayerState {
+        let first = shards.first().expect("need at least one shard");
+        let mut end = 0;
+        for s in shards {
+            assert_eq!(s.mask, first.mask, "shards of different tensors");
+            assert_eq!(s.shard_lo, end, "shards must be contiguous, in rank order");
+            end += s.theta32.len();
+        }
+        assert_eq!(end, first.nnz(), "shards must cover the compressed space");
+        let arrays = (0..first.sharded_arrays().len()).map(|k| {
+            let parts: Vec<&[f32]> = shards.iter().map(|s| s.sharded_arrays()[k]).collect();
+            parts.concat()
+        });
+        (*first).clone().with_arrays(0, arrays.collect())
+    }
+
+    /// `θ32` and the optimizer's per-position arrays: the shard's
+    /// values that [`Self::concat`] joins.
+    pub(crate) fn sharded_arrays(&self) -> Vec<&[f32]> {
+        let mut arrays: Vec<&[f32]> = vec![&self.theta32];
+        match &self.os {
+            OptState::Adam(a) => arrays.extend([&a.m[..], &a.v[..]]),
+            OptState::Sgd(s) => arrays.push(&s.velocity),
+        }
+        arrays
+    }
+
+    /// This layer with [`Self::sharded_arrays`] replaced by `arrays` (in
+    /// that order), covering compressed positions from `lo`. Every
+    /// buffer is allocated to size, so the result keeps no remap
+    /// headroom (see [`RemapScratch::for_layer`]); `∇θ32` is transient
+    /// and comes back zeroed.
+    pub(crate) fn with_arrays(self, lo: usize, arrays: Vec<Vec<f32>>) -> SamoLayerState {
+        let mut arrays = arrays.into_iter();
+        let mut next = || arrays.next().expect("one array per sharded array");
+        let theta32 = next();
+        let os = match &self.os {
+            OptState::Adam(a) => OptState::Adam(AdamState {
+                m: next(),
+                v: next(),
+                step: a.step,
+            }),
+            OptState::Sgd(_) => OptState::Sgd(SgdState { velocity: next() }),
+        };
+        assert!(lo + theta32.len() <= self.nnz(), "shard out of range");
+        SamoLayerState {
+            grad16: self.grad16.clone(),
+            mask: self.mask,
+            shard_lo: lo,
+            theta16: self.theta16,
+            grad32: vec![0.0; theta32.len()],
+            theta32,
+            os,
+        }
+    }
+
+    /// The compressed positions `θ32`, `∇θ32` and `os` cover: `0..nnz`
+    /// unless this is a ZeRO rank's shard.
+    pub fn shard_range(&self) -> Range<usize> {
+        self.shard_lo..self.shard_lo + self.theta32.len()
+    }
+
+    /// Panics unless this state covers the whole compressed space.
+    pub(crate) fn assert_unsharded(&self, what: &str) {
+        assert_eq!(
+            self.theta32.len(),
+            self.nnz(),
+            "{what} needs an unsharded layer state"
+        );
     }
 
     /// The layer's pruning mask.
@@ -156,8 +259,10 @@ impl SamoLayerState {
     }
 
     /// Fused step kernel (b): upscale + optimizer + downcast +
-    /// scatter-into-θ16 in one parallel pass over `nnz`, writing the
-    /// model's dense f32 parameter view into `dense_out` in place.
+    /// scatter-into-θ16 in one parallel pass over the shard range,
+    /// writing the model's dense f32 parameter view into `dense_out` in
+    /// place. A sharded rank then completes `θ16` and `dense_out` with
+    /// [`Self::shard_theta16`] → all-gather → [`Self::install_gathered`].
     /// Equivalent to [`Self::optimizer_step`] followed by copying
     /// [`Self::dense_f32_params`] out (bitwise for `θ32`/`∇θ32`/`os`,
     /// exact for `θ16` — property tested against that oracle), without
@@ -182,11 +287,12 @@ impl SamoLayerState {
         dense_out: &mut [f32],
     ) {
         assert_eq!(dense_out.len(), self.numel());
-        let nnz = self.mask.nnz();
-        let SamoLayerState { mask, theta16, theta32, grad16, grad32, os } = self;
-        let ind = mask.indices();
+        let shard = self.shard_range();
+        let n = shard.len();
+        let SamoLayerState { mask, theta16, theta32, grad16, grad32, os, .. } = self;
+        let ind = &mask.indices()[shard.clone()];
         let table = to_f32_table();
-        let grad16 = &grad16[..];
+        let grad16 = &grad16[shard];
         let t16 = SyncPtr(theta16.as_mut_ptr());
         let t32 = SyncPtr(theta32.as_mut_ptr());
         let g32 = SyncPtr(grad32.as_mut_ptr());
@@ -199,7 +305,7 @@ impl SamoLayerState {
                 let m = SyncPtr(st.m.as_mut_ptr());
                 let v = SyncPtr(st.v.as_mut_ptr());
                 let (m, v) = (&m, &v);
-                par_ranges(nnz, STEP_MIN_CHUNK, |s, e| {
+                par_ranges(n, STEP_MIN_CHUNK, |s, e| {
                     for j in s..e {
                         // SAFETY: compressed position j and dense
                         // position ind[j] (strictly increasing) are each
@@ -220,7 +326,7 @@ impl SamoLayerState {
             (OptState::Sgd(st), Optimizer::Sgd(cfg)) => {
                 let vel = SyncPtr(st.velocity.as_mut_ptr());
                 let vel = &vel;
-                par_ranges(nnz, STEP_MIN_CHUNK, |s, e| {
+                par_ranges(n, STEP_MIN_CHUNK, |s, e| {
                     for j in s..e {
                         // SAFETY: as above — disjoint j and ind[j].
                         unsafe {
@@ -240,6 +346,26 @@ impl SamoLayerState {
         }
     }
 
+    /// `θ16` at the shard range's positions, as [`Self::optimizer_step_fused`]
+    /// left them: this rank's contribution to the parameter all-gather.
+    pub fn shard_theta16(&self) -> Vec<F16> {
+        let ind = &self.mask.indices()[self.shard_range()];
+        ind.iter().map(|&i| self.theta16[i as usize]).collect()
+    }
+
+    /// Scatters the all-gathered compressed fp16 parameters (every
+    /// rank's [`Self::shard_theta16`], concatenated) into `θ16` and the
+    /// dense f32 view `dense_out`.
+    pub fn install_gathered(&mut self, gathered: &[F16], dense_out: &mut [f32]) {
+        assert_eq!(gathered.len(), self.nnz());
+        assert_eq!(dense_out.len(), self.numel());
+        let table = to_f32_table();
+        for (&h, &i) in gathered.iter().zip(self.mask.indices().iter()) {
+            self.theta16[i as usize] = h;
+            dense_out[i as usize] = table[h.0 as usize];
+        }
+    }
+
     /// The three-phase SAMO optimizer step (Sec. III-C):
     ///
     /// 1. upscale `∇θ16 → ∇θ32` directly on compressed tensors,
@@ -252,6 +378,7 @@ impl SamoLayerState {
     /// against; the training hot loop uses [`Self::compress_grad_fused`]
     /// and [`Self::optimizer_step_fused`] instead.
     pub fn optimizer_step(&mut self, opt: &Optimizer, inv_loss_scale: f32) {
+        self.assert_unsharded("the three-phase optimizer_step");
         // Phase 1: upscale on compressed data.
         for (g32, g16) in self.grad32.iter_mut().zip(&self.grad16) {
             *g32 = g16.to_f32() * inv_loss_scale;
@@ -346,6 +473,7 @@ impl SamoLayerState {
     /// `tests/zero_alloc.rs`). Returns the retired mask so callers can
     /// control where its refcount drop happens.
     pub fn remap_compressed_state(&mut self, new_mask: Mask, scratch: &mut RemapScratch) -> Mask {
+        self.assert_unsharded("remap_compressed_state");
         assert_eq!(
             new_mask.shape(),
             self.mask.shape(),
@@ -353,7 +481,7 @@ impl SamoLayerState {
         );
         let new_nnz = new_mask.nnz();
         let table = to_f32_table();
-        let SamoLayerState { mask, theta16, theta32, grad16, grad32, os } = self;
+        let SamoLayerState { mask, theta16, theta32, grad16, grad32, os, .. } = self;
         let old_ind = mask.indices();
         let new_ind = new_mask.indices();
 
@@ -732,6 +860,145 @@ mod tests {
         let mut st = SamoLayerState::from_params(&[0.0; 8], mask_half(), &opt);
         let mut scratch = RemapScratch::for_layer(&mut st, &opt);
         st.remap_compressed_state(Mask::dense(&[4]), &mut scratch);
+    }
+
+    fn bits(v: &[F16]) -> Vec<u16> {
+        v.iter().map(|h| h.0).collect()
+    }
+
+    /// `d` shards of a fresh layer of `phi` parameters (kept with
+    /// probability `1 − p`), and each rank's dense f32 view.
+    fn shards(
+        phi: usize,
+        p: f64,
+        d: usize,
+    ) -> (SamoLayerState, Vec<SamoLayerState>, Vec<Vec<f32>>) {
+        let mask = prune::random_prune(&[phi], p, 2);
+        let values: Vec<f32> = (0..phi)
+            .map(|i| (i * 31 % 97) as f32 * 0.01 - 0.48)
+            .collect();
+        let full = SamoLayerState::from_params(&values, mask, &adam());
+        let ranks: Vec<_> = (0..d).map(|r| full.clone().shard(r, d)).collect();
+        let dense = vec![full.dense_f32_params(); d];
+        (full, ranks, dense)
+    }
+
+    /// One data-parallel step of every shard on the same (already
+    /// reduced) gradient: fused compress, fused shard step, then every
+    /// rank's θ16 shard all-gathered and installed on every rank.
+    fn step_shards(ranks: &mut [SamoLayerState], dense: &mut [Vec<f32>], grads: &[f32]) {
+        let mut gathered = Vec::new();
+        for (st, d) in ranks.iter_mut().zip(dense.iter_mut()) {
+            assert!(st.compress_grad_fused(grads));
+            st.optimizer_step_fused(&adam(), 1.0, d);
+            gathered.extend(st.shard_theta16());
+        }
+        for (st, d) in ranks.iter_mut().zip(dense.iter_mut()) {
+            st.install_gathered(&gathered, d);
+        }
+    }
+
+    #[test]
+    fn shards_partition_the_compressed_space() {
+        for &(n, d) in &[(10usize, 3usize), (7, 7), (100, 8), (5, 1), (3, 5)] {
+            let st = SamoLayerState::from_params(&vec![1.0; n], Mask::dense(&[n]), &adam());
+            assert_eq!(st.shard_range(), 0..n);
+            let mut end = 0;
+            for r in 0..d {
+                let range = st.clone().shard(r, d).shard_range();
+                assert_eq!(range.start, end, "shards must be contiguous");
+                assert_eq!((range.start, range.end), comms::segment_bounds(n, d)[r]);
+                end = range.end;
+            }
+            assert_eq!(end, n);
+        }
+    }
+
+    #[test]
+    fn sharded_bytes_are_2phi_6nnz_18shard() {
+        let (phi, d) = (50_000usize, 4);
+        let (full, ranks, _) = shards(phi, 0.9, d);
+        let nnz = full.nnz() as u64;
+        let mut total = 0;
+        for (r, st) in ranks.iter().enumerate() {
+            let shard = st.shard_range().len() as u64;
+            let expect = 2 * phi as u64 + 6 * nnz + 18 * shard;
+            assert_eq!(st.measured_bytes(true), expect, "rank {r}");
+            total += shard;
+        }
+        assert_eq!(total, nnz, "shards cover everything once");
+    }
+
+    /// d ranks stepping their shards (identical reduced gradients,
+    /// all-gathered parameters) follow exactly the unsharded trajectory.
+    #[test]
+    fn sharded_step_equals_unsharded() {
+        let phi = 257; // nnz not divisible by d
+        let (mut reference, mut ranks, mut dense) = shards(phi, 0.7, 3);
+        for step in 0..5 {
+            let grads: Vec<f32> = (0..phi)
+                .map(|i| ((i + step * 13) % 29) as f32 * 0.01 - 0.14)
+                .collect();
+            reference.compress_grad(&grads);
+            reference.optimizer_step(&adam(), 1.0);
+            step_shards(&mut ranks, &mut dense, &grads);
+            let want = reference.dense_f32_params();
+            for (r, st) in ranks.iter().enumerate() {
+                assert_eq!(
+                    bits(&st.theta16),
+                    bits(&reference.theta16),
+                    "rank {r} step {step}"
+                );
+                assert_eq!(dense[r], want, "rank {r} dense view, step {step}");
+                assert_eq!(st.theta32, reference.theta32[st.shard_range()]);
+            }
+        }
+    }
+
+    #[test]
+    fn shard_concat_round_trip_is_bitwise() {
+        let phi = 131; // nnz not divisible by d
+        let (mut reference, mut ranks, mut dense) = shards(phi, 0.6, 4);
+        for step in 0..3 {
+            let grads: Vec<f32> = (0..phi)
+                .map(|i| ((i + step * 7) % 11) as f32 * 0.02)
+                .collect();
+            reference.compress_grad(&grads);
+            reference.optimizer_step(&adam(), 1.0);
+            step_shards(&mut ranks, &mut dense, &grads);
+        }
+        let full = SamoLayerState::concat(&ranks.iter().collect::<Vec<_>>());
+        assert_eq!(full.shard_range(), 0..full.nnz());
+        assert_eq!(full.theta32, reference.theta32);
+        assert_eq!(bits(&full.theta16), bits(&reference.theta16));
+        assert_eq!(bits(&full.grad16), bits(&reference.grad16));
+        for (r, orig) in ranks.iter().enumerate() {
+            let again = full.clone().shard(r, ranks.len());
+            assert_eq!(again.shard_range(), orig.shard_range());
+            assert_eq!(again.theta32, orig.theta32, "rank {r} θ32");
+            match (&again.os, &orig.os, &full.os, &reference.os) {
+                (OptState::Adam(a), OptState::Adam(b), OptState::Adam(f), OptState::Adam(w)) => {
+                    assert_eq!(
+                        (a.step, &a.m, &a.v),
+                        (b.step, &b.m, &b.v),
+                        "rank {r} moments"
+                    );
+                    assert_eq!(
+                        (f.step, &f.m, &f.v),
+                        (w.step, &w.m, &w.v),
+                        "concatenated moments"
+                    );
+                }
+                _ => panic!("wrong optimizer state"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsharded")]
+    fn three_phase_step_rejects_a_shard() {
+        let (_, mut ranks, _) = shards(64, 0.5, 2);
+        ranks[0].optimizer_step(&adam(), 1.0);
     }
 
     #[test]

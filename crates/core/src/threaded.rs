@@ -34,17 +34,14 @@
 use crate::rank::{
     assert_replicas_agree, MeshMetrics, RankCore, RankDuration, RankGroup, ShardedRank,
 };
-use crate::sharded::ShardedSamoLayerState;
-use crate::state::{RemapScratch, SamoLayerState};
+use crate::state::SamoLayerState;
 use crate::trainer::{record_step_event, samo_ring_allreduce_bytes};
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::Layer;
-use nn::mixed::{LossScaler, OptState, Optimizer};
-use nn::optim::{AdamState, SgdState};
+use nn::mixed::{LossScaler, Optimizer};
 use prune::{Mask, MaskSchedule};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tensor::f16::F16;
 use tensor::Tensor;
 
 /// Per-rank transport statistics, via [`ThreadedDataParallelSamo::comm_stats`].
@@ -110,7 +107,15 @@ impl<M: Layer> Rank<M> {
             // compressed gradient for the (possibly new) mask.
             let sp = tel.then(|| telemetry::span("samo.dp_threaded.remap"));
             let _ = self.model.backward(&dy);
-            self.remap_step()?;
+            let sched = self
+                .schedule
+                .as_ref()
+                .expect("an update step has a schedule");
+            if self.core.remap_step(&mut self.model, sched)? && tel {
+                telemetry::global()
+                    .counter("samo.dp_threaded.remap_events")
+                    .inc();
+            }
             sp.map(telemetry::SpanGuard::finish)
         } else {
             let sp = tel.then(|| telemetry::span("samo.dp_threaded.backward_allreduce"));
@@ -119,7 +124,11 @@ impl<M: Layer> Rank<M> {
             sp.map(telemetry::SpanGuard::finish)
         };
 
-        let finite = self.core.finite();
+        let finite = !self
+            .core
+            .states
+            .iter()
+            .any(SamoLayerState::grads_non_finite);
         let span = tel.then_some("samo.dp_threaded.shard_step");
         let (applied, t_shard) = self
             .core
@@ -131,107 +140,6 @@ impl<M: Layer> Rank<M> {
             self.relay_step_metrics(t0);
         }
         Ok(applied)
-    }
-
-    /// The dynamic-sparsity update path, run in place of the overlapped
-    /// compressed ring when the installed [`MaskSchedule`] fires.
-    ///
-    /// Every rank reduces the f16-narrowed *dense* gradient — bitwise
-    /// the values a compressed ring would agree on, and, widened, the
-    /// canonical grow score ([`crate::SamoTrainer`] ranks regrowth
-    /// candidates from exactly the same bits) — then computes the new
-    /// mask locally (inputs are identical on every rank, so no mask
-    /// broadcast is needed). When a mask changes, the full fp32 state is
-    /// reassembled from every rank's `[θ32 | os]` shard segment over
-    /// [`Communicator::all_gather_f32`], remapped in place with
-    /// [`SamoLayerState::remap_compressed_state`], and re-sharded under
-    /// the new bounds — shard boundaries depend on `nnz`, so surviving
-    /// values migrate between ranks here. Finally the comms epoch is
-    /// bumped in lockstep: the compressed-gradient bucket layout has
-    /// been renegotiated and any stale in-flight bucket from the old
-    /// layout is dropped by every future receive.
-    fn remap_step(&mut self) -> Result<(), CommsError> {
-        let t = self.core.counts.index();
-        let sched = self
-            .schedule
-            .clone()
-            .expect("remap_step requires a schedule");
-        let RankCore {
-            states, comm, opt, ..
-        } = &mut self.core;
-        let (rank, world) = (comm.rank(), comm.world());
-        let mut moved = false;
-        let params = self.model.params_mut();
-        assert_eq!(params.len(), states.len());
-        for (st, p) in states.iter_mut().zip(params) {
-            let mut dense16: Vec<F16> = p
-                .grad
-                .as_slice()
-                .iter()
-                .map(|&g| F16::from_f32(g))
-                .collect();
-            comm.allreduce_mean_f16(&mut dense16)?;
-            let score: Vec<f32> = dense16.iter().map(|g| g.to_f32()).collect();
-            let new_mask = sched.next_mask(t, p.value.as_slice(), &score, st.mask());
-            if &new_mask != st.mask() {
-                // Each rank contributes its `[θ32 | os…]` shard segment;
-                // array `k` of rank `r` lands at `bounds[r]` of full array `k`.
-                let nnz = st.nnz();
-                let bounds = comms::segment_bounds(nnz, world);
-                let arrays: Vec<&[f32]> = match &st.os_shard {
-                    OptState::Adam(a) => vec![&st.theta32_shard, &a.m, &a.v],
-                    OptState::Sgd(s) => vec![&st.theta32_shard, &s.velocity],
-                };
-                let counts: Vec<usize> = bounds
-                    .iter()
-                    .map(|&(l, h)| (h - l) * arrays.len())
-                    .collect();
-                let gathered = comm.all_gather_f32(&arrays.concat(), &counts)?;
-                let mut full = vec![vec![0.0f32; nnz]; arrays.len()];
-                let mut seg = gathered.as_slice();
-                for &(l, h) in &bounds {
-                    for a in &mut full {
-                        let (head, rest) = seg.split_at(h - l);
-                        a[l..h].copy_from_slice(head);
-                        seg = rest;
-                    }
-                }
-                let mut full = full.into_iter();
-                let mut next = || full.next().expect("one full array per shard array");
-                let theta32 = next();
-                let os = match &st.os_shard {
-                    OptState::Adam(a) => OptState::Adam(AdamState {
-                        m: next(),
-                        v: next(),
-                        step: a.step,
-                    }),
-                    OptState::Sgd(_) => OptState::Sgd(SgdState { velocity: next() }),
-                };
-                let mut full =
-                    SamoLayerState::from_parts(st.mask().clone(), theta32, st.grad16.clone(), os);
-                let mut scratch = RemapScratch::for_layer(&mut full, opt);
-                full.remap_compressed_state(new_mask, &mut scratch);
-                *st = ShardedSamoLayerState::from_full_layer(&full, opt, rank, world);
-                st.write_dense_f32_params_into(p.value.as_mut_slice());
-                moved = true;
-            }
-            // The dense reduction above already carries the agreed
-            // gradient: install its compressed view under the (possibly
-            // new) mask directly, since the per-layer rings were skipped.
-            let ind = st.mask().indices().clone();
-            for (g, &ix) in st.grad16.iter_mut().zip(ind.iter()) {
-                *g = dense16[ix as usize];
-            }
-        }
-        if moved {
-            comm.bump_epoch();
-            if telemetry::enabled() && rank == 0 {
-                telemetry::global()
-                    .counter("samo.dp_threaded.remap_events")
-                    .inc();
-            }
-        }
-        Ok(())
     }
 
     /// Mesh-native metrics relay: every rank ships its step wall time
@@ -386,7 +294,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
             })
             .collect();
         ThreadedDataParallelSamo {
-            group: RankGroup::spawn(ranks, opt, 1),
+            group: RankGroup::spawn(ranks, 1),
             faults,
             allreduce_bytes: 0,
         }
@@ -495,7 +403,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     pub fn with_rank<R, F>(&mut self, rank: usize, f: F) -> R
     where
         R: Send + 'static,
-        F: FnOnce(&mut M, &[ShardedSamoLayerState]) -> R + Send + 'static,
+        F: FnOnce(&mut M, &[SamoLayerState]) -> R + Send + 'static,
     {
         self.group
             .with_rank(rank, move |r| f(&mut r.model, &r.core.states))

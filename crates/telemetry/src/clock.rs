@@ -57,6 +57,9 @@ mod tests {
     #[test]
     fn reset_rewinds_the_session_origin() {
         let _guard = crate::registry::test_lock();
+        // Touch the lazily started clock first, so the sleep below is
+        // measured from an origin that already exists.
+        now_us();
         std::thread::sleep(std::time::Duration::from_millis(5));
         let before = now_us();
         assert!(before >= 5_000.0, "expected ≥5ms since start, got {before}");
