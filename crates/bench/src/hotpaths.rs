@@ -22,7 +22,6 @@
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use samo::state::SamoLayerState;
-use samo::trainer::allreduce_mean_f16;
 use samo::{compress_f16, compress_f32, expand_f16};
 use std::time::Instant;
 use tensor::f16::F16;
@@ -228,7 +227,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             .collect();
         let (runs_ms, best_ms) = sample(best_of, reps, || {
             let mut views: Vec<&mut [F16]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-            allreduce_mean_f16(&mut views).expect("matching layouts");
+            comms::reference::allreduce_mean_f16(&mut views).expect("matching layouts");
         });
         // Every rank's buffer is read and rewritten in place: 4 B/elem.
         results.push(KernelResult {

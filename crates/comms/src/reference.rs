@@ -1,8 +1,7 @@
 //! The sequential oracle: exact-sum mean all-reduce over f16 replicas.
 //!
 //! This is the function the chunked ring all-reduce must equal
-//! bit-for-bit (property-tested in `tests/ring_oracle.rs`), and the one
-//! `samo::trainer::allreduce_mean_f16` delegates to. Fed to a
+//! bit-for-bit (property-tested in `tests/ring_oracle.rs`). Fed to a
 //! single-process `SamoTrainer`, it is the data-parallel oracle the
 //! threaded runtime is checked against bit for bit.
 //!

@@ -15,8 +15,13 @@
 //!   per-step cross-stage overflow verdict;
 //! * a **data mesh** per stage (`world = G_data`) running the
 //!   compressed-`∇θ16` chunked ring all-reduce and the sharded
-//!   parameter all-gather through the rank core it shares with
-//!   [`crate::ThreadedDataParallelSamo`] (`crate::rank`).
+//!   parameter all-gather.
+//!
+//! Both meshes belong to the rank core (`crate::rank`) that ends every
+//! step of this runtime and of [`crate::ThreadedDataParallelSamo`]:
+//! ring completion, the overflow verdict, the shard step, the step
+//! record and the metrics relay. A stage rank runs only the scheduler
+//! loop below.
 //!
 //! # Scheduling
 //!
@@ -40,7 +45,7 @@
 //! everywhere, which makes per-stage work uniform — the pipeline bench
 //! uses it to compare the measured bubble against Eq. 7.
 //!
-//! On the **last** microbatch the backward runs through
+//! On the **last** microbatch the core runs the backward through
 //! [`Layer::backward_with_ready`], compressing each parameter bucket
 //! and starting its ring on the data mesh as soon as its gradient is
 //! final — the all-reduce overlaps the backward tail, as in the
@@ -58,7 +63,8 @@
 //! stateless layer), the ring mean is the exact-f64-sum rounding which
 //! is the identity at `G_data = 1` and exact for identical replicas,
 //! and the sharded optimizer path is bitwise-equal to the fused
-//! single-process kernels (`crate::sharded` tests).
+//! single-process kernels (`state::tests::sharded_step_equals_unsharded`
+//! and `crates/core/tests/fused_step.rs`).
 //!
 //! # Failure handling
 //!
@@ -71,7 +77,7 @@
 
 pub use crate::rank::STRAGGLER_FACTOR;
 use crate::rank::{
-    assert_replicas_agree, MeshMetrics, RankCore, RankDuration, RankGroup, ShardedRank,
+    assert_replicas_agree, LastBackward, RankCore, RankGroup, ShardedRank, StepNames,
 };
 use crate::state::SamoLayerState;
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
@@ -80,7 +86,6 @@ use nn::mixed::{LossScaler, Optimizer};
 use prune::Mask;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tensor::f16::F16;
 use tensor::Tensor;
 
 /// Per-stage Perfetto trace rows: every forward/backward slice a stage
@@ -241,29 +246,14 @@ fn p2p_id(mb: usize, dir: u64) -> u64 {
     ((mb as u64) << 1) | dir
 }
 
-/// 16-byte wire record of one rank's step-duration snapshot:
-/// `stage: u32le | data_idx: u32le | dur_us: f64le`.
-fn encode_metric(stage: usize, data_idx: usize, dur_us: f64) -> Vec<u8> {
-    let mut b = Vec::with_capacity(16);
-    b.extend_from_slice(&(stage as u32).to_le_bytes());
-    b.extend_from_slice(&(data_idx as u32).to_le_bytes());
-    b.extend_from_slice(&dur_us.to_le_bytes());
-    b
-}
-
-/// Parses a batch of concatenated [`encode_metric`] records; trailing
-/// partial records (impossible from well-behaved peers) are dropped.
-fn decode_metrics(bytes: &[u8]) -> Vec<(usize, usize, f64)> {
-    bytes
-        .chunks_exact(16)
-        .map(|c| {
-            let stage = u32::from_le_bytes(c[0..4].try_into().unwrap()) as usize;
-            let data_idx = u32::from_le_bytes(c[4..8].try_into().unwrap()) as usize;
-            let dur = f64::from_le_bytes(c[8..16].try_into().unwrap());
-            (stage, data_idx, dur)
-        })
-        .collect()
-}
+const NAMES: StepNames = StepNames {
+    prefix: "samo.pipeline",
+    kind: "samo_pipeline",
+    group: "pipeline",
+    backward_allreduce: "samo.pipeline.backward_allreduce",
+    remap: "samo.pipeline.remap",
+    shard_step: "samo.pipeline.shard_step",
+};
 
 /// Everything one `(stage, data_idx)` rank thread owns.
 struct StageRank {
@@ -275,10 +265,9 @@ struct StageRank {
     /// slices (pid 3) and both communicators' comms slices (pid 2).
     lane: u64,
     block: Sequential,
-    /// The stage's sharded state and data mesh (rank = data_idx).
+    /// The stage's sharded state, its data mesh (rank = data_idx) and
+    /// the pipeline mesh of its data replica (rank = stage).
     core: RankCore,
-    /// Pipeline mesh of this data replica; rank = stage.
-    pipe: Communicator<InProcTransport>,
     stats: StageStats,
     /// Boundary input per in-flight microbatch (recompute source).
     input_stash: Vec<Option<Tensor>>,
@@ -286,8 +275,6 @@ struct StageRank {
     y_stash: Vec<Option<Tensor>>,
     /// Which microbatch the stage's activation caches belong to.
     cache_mb: Option<usize>,
-    /// Rank (0,0) only: the `mesh_metrics` aggregation.
-    metrics: MeshMetrics,
 }
 
 impl ShardedRank for StageRank {
@@ -296,29 +283,16 @@ impl ShardedRank for StageRank {
     fn parts(&mut self) -> (&mut Sequential, &mut RankCore) {
         (&mut self.block, &mut self.core)
     }
-
-    /// Both meshes get a fresh epoch; the barriers run pipe-then-data on
-    /// every rank, and the meshes are disjoint, so no ordering deadlock.
-    fn rejoin(&mut self) -> Result<(), String> {
-        self.pipe.bump_epoch();
-        self.core.comm.bump_epoch();
-        self.pipe
-            .barrier()
-            .map_err(|e| format!("post-restore pipeline barrier failed: {e}"))?;
-        self.core
-            .comm
-            .barrier()
-            .map_err(|e| format!("post-restore data barrier failed: {e}"))?;
-        if telemetry::enabled() && self.stage == 0 && self.data_idx == 0 {
-            telemetry::global()
-                .counter("samo.pipeline.recoveries")
-                .inc();
-        }
-        Ok(())
-    }
 }
 
 impl StageRank {
+    fn pipe(&mut self) -> &mut Communicator<InProcTransport> {
+        self.core
+            .stage
+            .as_mut()
+            .expect("a stage rank has a pipeline mesh")
+    }
+
     fn is_last(&self) -> bool {
         self.stage + 1 == self.cfg.g_inter
     }
@@ -343,7 +317,7 @@ impl StageRank {
     ) -> Result<bool, CommsError> {
         let tel = telemetry::enabled();
         // Step window start: the "step" slice recorded on completion
-        // covers the scheduler loop plus the collective epilogue, so
+        // covers the scheduler loop plus the core's end of the step, so
         // the critical-path analyzer can attribute every compute/comm/
         // wait slice inside it to this training step.
         let win0 = tel.then(comms::trace::now_us);
@@ -361,6 +335,7 @@ impl StageRank {
         let mut fwd_done = 0usize;
         let mut bwd_done = 0usize;
         let mut last_progress = Instant::now();
+        let mut last_bwd = None;
         while bwd_done < m {
             let mut progressed = false;
 
@@ -372,13 +347,13 @@ impl StageRank {
                     loss_grad(self.data_idx, bwd_done, &y, scale_used)
                 })
             } else {
-                self.pipe
+                self.pipe()
                     .try_recv_p2p(s + 1, p2p_id(bwd_done, DIR_GRAD), step)?
                     .map(|v| self.tensor_from_wire(v))
                     .transpose()?
             };
             if let Some(dy) = dy {
-                self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step, tel)?;
+                last_bwd = self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step, tel)?;
                 bwd_done += 1;
                 progressed = true;
             }
@@ -388,7 +363,7 @@ impl StageRank {
                 let x = if s == 0 {
                     Some(input(self.data_idx, fwd_done))
                 } else {
-                    self.pipe
+                    self.pipe()
                         .try_recv_p2p(s - 1, p2p_id(fwd_done, DIR_ACT), step)?
                         .map(|v| self.tensor_from_wire(v))
                         .transpose()?
@@ -435,94 +410,13 @@ impl StageRank {
         self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
         self.stats.last_sched_end_us = comms::trace::now_us();
 
-        // Collective epilogue: finish the overlapped rings, agree on the
-        // overflow verdict across stages, then shard-step + all-gather.
-        // One f16 flag per stage; every stage of this replica sees the
-        // same flags, and replicas agree because the reduced gradient
-        // bits are identical — so every rank's scaler stays in lockstep.
-        self.core.finish_rings()?;
-        let overflow = self
-            .core
-            .states
-            .iter()
-            .any(SamoLayerState::grads_non_finite);
-        let flag = F16::from_f32(if overflow { 0.0 } else { 1.0 });
-        let flags = self
-            .pipe
-            .all_gather_f16(&[flag], &vec![1usize; self.cfg.g_inter])?;
-        let finite = flags.iter().all(|f| f.to_f32() == 1.0);
-        let (applied, _) = self
-            .core
-            .conclude(&mut self.block, finite, scale_used, None)?;
-        if tel {
-            self.record_step(applied);
-        }
-        if let Some(w0) = win0 {
-            self.finish_step_telemetry(step, w0);
+        let last_bwd = last_bwd.expect("the loop ends on the last microbatch's backward");
+        let (applied, dur_us) = self.core.end_step(&mut self.block, last_bwd, win0)?;
+        if let (Some(ts), Some(dur)) = (win0, dur_us) {
+            let group = self.lane - (self.data_idx * self.cfg.g_inter + self.stage) as u64;
+            trace::record_step_window(self.lane, group, u64::from(step), ts, dur);
         }
         Ok(applied)
-    }
-
-    /// Telemetry tail of a completed step: records this rank's step
-    /// window slice and runs the mesh-native metrics relay. Only called
-    /// when telemetry is enabled and the step reached a verdict (error
-    /// paths skip it — a dead rank's wait slices still tell the story).
-    fn finish_step_telemetry(&mut self, step: u32, win0: f64) {
-        let now = comms::trace::now_us();
-        let dur_us = (now - win0).max(0.0);
-        let group = self.lane - (self.data_idx * self.cfg.g_inter + self.stage) as u64;
-        trace::record_step_window(self.lane, group, u64::from(step), win0, dur_us);
-        self.relay_step_metrics(step, dur_us);
-    }
-
-    /// Mesh-native metrics relay: every rank ships its step duration
-    /// over the transport to rank (0,0), which folds them into one
-    /// `mesh_metrics` line.
-    ///
-    /// Two hops: stages > 0 send to stage 0 over their replica's pipe
-    /// mesh; replicas > 0 relay their gathered batch to data rank 0
-    /// over the stage-0 data mesh. Delivery is best-effort
-    /// ([`Communicator::send_telemetry`] never poisons) — a lost
-    /// snapshot degrades the report, never the step.
-    fn relay_step_metrics(&mut self, step: u32, dur_us: f64) {
-        let g = self.cfg.g_inter;
-        let mine = encode_metric(self.stage, self.data_idx, dur_us);
-        if self.stage > 0 {
-            self.pipe.send_telemetry(0, self.stage as u64, step, mine);
-            return;
-        }
-        let mut batch = mine;
-        for s in 1..g {
-            if let Some(b) = self
-                .pipe
-                .recv_telemetry(s, s as u64, step, self.cfg.timeout)
-            {
-                batch.extend_from_slice(&b);
-            }
-        }
-        let data = &mut self.core.comm;
-        if self.data_idx > 0 {
-            data.send_telemetry(0, self.data_idx as u64, step, batch);
-            return;
-        }
-        let mut entries = decode_metrics(&batch);
-        for di in 1..data.world() {
-            if let Some(b) = data.recv_telemetry(di, di as u64, step, self.cfg.timeout) {
-                entries.extend(decode_metrics(&b));
-            }
-        }
-        let ranks: Vec<RankDuration> = entries
-            .into_iter()
-            .map(|(s, di, dur)| {
-                (
-                    di * g + s,
-                    vec![("stage", s as u64), ("data", di as u64)],
-                    dur,
-                )
-            })
-            .collect();
-        self.metrics
-            .emit("pipeline", g * data.world(), step, &ranks);
     }
 
     fn forward_mb(&mut self, mb: usize, x: Tensor, step: u32, tel: bool) -> Result<(), CommsError> {
@@ -539,12 +433,9 @@ impl StageRank {
         if self.is_last() {
             self.y_stash[mb] = Some(y);
         } else {
-            self.pipe.send_p2p(
-                self.stage + 1,
-                p2p_id(mb, DIR_ACT),
-                step,
-                y.as_slice().to_vec(),
-            )?;
+            let to = self.stage + 1;
+            self.pipe()
+                .send_p2p(to, p2p_id(mb, DIR_ACT), step, y.as_slice().to_vec())?;
         }
         Ok(())
     }
@@ -556,7 +447,7 @@ impl StageRank {
         last_mb: bool,
         step: u32,
         tel: bool,
-    ) -> Result<(), CommsError> {
+    ) -> Result<Option<LastBackward>, CommsError> {
         let ts = tel.then(comms::trace::now_us);
         let t0 = Instant::now();
         if self.cfg.force_recompute || self.cache_mb != Some(mb) {
@@ -571,12 +462,14 @@ impl StageRank {
             self.input_stash[mb] = None;
         }
         // On the final microbatch every parameter's accumulated gradient
-        // becomes final as its layer finishes backward: compress and
-        // start its ring immediately, overlapping the backward tail.
-        let dx = if last_mb {
-            self.core.backward_overlapped(&mut self.block, dy)?
+        // becomes final as its layer finishes backward: the core
+        // compresses it and starts its ring at once, overlapping the
+        // backward tail.
+        let (dx, last) = if last_mb {
+            let (dx, last) = self.core.backward_last(&mut self.block, dy)?;
+            (dx, Some(last))
         } else {
-            self.block.backward(dy)
+            (self.block.backward(dy), None)
         };
         self.cache_mb = None;
         let dt = t0.elapsed().as_secs_f64();
@@ -585,40 +478,26 @@ impl StageRank {
             trace::record_microbatch(self.lane, 'B', mb, ts, dt * 1e6);
         }
         if self.stage > 0 {
-            self.pipe.send_p2p(
-                self.stage - 1,
-                p2p_id(mb, DIR_GRAD),
-                step,
-                dx.as_slice().to_vec(),
-            )?;
+            let to = self.stage - 1;
+            self.pipe()
+                .send_p2p(to, p2p_id(mb, DIR_GRAD), step, dx.as_slice().to_vec())?;
         }
-        Ok(())
+        Ok(last)
     }
 
     fn stats(&self) -> StageStats {
         let data = self.core.comm.transport();
+        let pipe = self
+            .core
+            .stage
+            .as_ref()
+            .expect("a stage rank has a pipeline mesh");
         StageStats {
-            pipe_wire_bytes: self.pipe.transport().bytes_sent(),
+            pipe_wire_bytes: pipe.transport().bytes_sent(),
             data_wire_bytes: data.bytes_sent(),
-            msgs_dropped: self.pipe.transport().msgs_dropped() + data.msgs_dropped(),
+            msgs_dropped: pipe.transport().msgs_dropped() + data.msgs_dropped(),
             ..self.stats
         }
-    }
-
-    /// Cold path: rank (0,0)'s metric bookkeeping for one step.
-    fn record_step(&self, applied: bool) {
-        if self.stage != 0 || self.data_idx != 0 {
-            return;
-        }
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "samo.pipeline.steps_taken"
-        } else {
-            "samo.pipeline.steps_skipped"
-        })
-        .inc();
-        reg.gauge("samo.pipeline.loss_scale")
-            .set(f64::from(self.core.scaler.scale()));
     }
 }
 
@@ -715,9 +594,20 @@ impl ThreadedPipelineSamo {
                 let data = Communicator::new(Box::new(data_t) as Box<dyn Transport>)
                     .with_timeout(cfg.timeout)
                     .with_trace_lane(lane);
+                let pipe = Communicator::new(pipe_t)
+                    .with_timeout(cfg.timeout)
+                    .with_trace_lane(lane);
+                let place = (param_off, masks.len());
                 let stage_masks = &masks[param_off..param_off + n_params];
-                let core =
-                    RankCore::new(&mut block, stage_masks, &opt, data, param_off, masks.len());
+                let core = RankCore::new(
+                    &mut block,
+                    stage_masks,
+                    &opt,
+                    place,
+                    &NAMES,
+                    data,
+                    Some(pipe),
+                );
                 param_off += n_params;
                 let rk = StageRank {
                     stage,
@@ -726,14 +616,10 @@ impl ThreadedPipelineSamo {
                     lane,
                     block,
                     core,
-                    pipe: Communicator::new(pipe_t)
-                        .with_timeout(cfg.timeout)
-                        .with_trace_lane(lane),
                     stats: StageStats::default(),
                     input_stash: Vec::new(),
                     y_stash: Vec::new(),
                     cache_mb: None,
-                    metrics: MeshMetrics::default(),
                 };
                 ranks.push((
                     format!("samo-pp-s{stage}d{data_idx}"),

@@ -3,26 +3,34 @@
 //! steps with, the `mesh_metrics` aggregator, and the rank-thread host
 //! that owns the threads and the parent-side mirror.
 //!
-//! A rank holds a compute model (a full replica or one pipeline stage
-//! block) and a [`RankCore`]: its ZeRO shard of the compressed state
-//! ([`SamoLayerState`]s with a shard range) plus the data-parallel mesh
-//! it reduces gradients over. It steps with the same fused kernels as
-//! [`crate::SamoTrainer`]: overlapped backward that compresses each
-//! parameter bucket and starts its ring as soon as the gradient is final
-//! ([`RankCore::backward_overlapped`]), ring completion
-//! ([`RankCore::finish_rings`]), then the scaler verdict and fused shard
-//! step + `all_gather_f16` + expand ([`RankCore::conclude`]).
+//! A rank sits at `(stage, data)` of a `G_inter × G_data` grid. It holds
+//! a compute model (one pipeline stage block, or a full replica: a
+//! data-parallel rank is stage 0 of a one-stage grid) and a [`RankCore`]:
+//! its ZeRO shard of the compressed state ([`SamoLayerState`]s with a
+//! shard range), the data mesh it reduces gradients over, its stage mesh
+//! if it has one, and the [`MaskSchedule`]. A runtime runs the forward
+//! passes and every backward but the step's last; the core does the
+//! rest, with the same fused kernels as [`crate::SamoTrainer`]:
+//! [`RankCore::backward_last`] is the overlapped backward that
+//! compresses each parameter bucket and starts its ring as soon as the
+//! gradient is final (a plain backward on a schedule update step), and
+//! [`RankCore::end_step`] completes the rings (or runs the remap), takes
+//! the overflow verdict, runs the fused shard step + `all_gather_f16` +
+//! expand, records the step and relays its duration to rank (0,0).
 
-use crate::serialize::{save_checkpoint, TrainerMeta};
+use crate::serialize::save_checkpoint;
 use crate::state::{RemapScratch, SamoLayerState};
-use crate::trainer::StepCounts;
-use comms::{CommsError, Communicator, Transport};
+use crate::trainer::{
+    build_layers, record_step_event, restore_layers, samo_ring_allreduce_bytes, Place, StepCounts,
+};
+use comms::{CommsError, Communicator, InProcTransport, Transport};
 use nn::layer::Layer;
 use nn::mixed::{LossScaler, Optimizer};
 use prune::{Mask, MaskSchedule};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use telemetry::SpanGuard;
 use tensor::f16::F16;
 use tensor::Tensor;
 
@@ -73,8 +81,30 @@ fn shard_counts(nnz: usize, world: usize) -> Vec<usize> {
     bounds.iter().map(|(lo, hi)| hi - lo).collect()
 }
 
-/// One rank's sharded SAMO state and the data-parallel mesh its shards
-/// are reduced and gathered over.
+/// The names a runtime's step telemetry goes out under: the prefix of
+/// its counters and gauges (`{prefix}.steps_taken`, …), the `kind` of its
+/// JSONL step line, the group's name in straggler warnings, and its
+/// phase spans (last backward through the rings or through the remap,
+/// shard step).
+pub(crate) struct StepNames {
+    pub prefix: &'static str,
+    pub kind: &'static str,
+    pub group: &'static str,
+    pub backward_allreduce: &'static str,
+    pub remap: &'static str,
+    pub shard_step: &'static str,
+}
+
+/// A step between [`RankCore::backward_last`] and
+/// [`RankCore::end_step`]: whether it is a schedule update step, and on
+/// rank (0,0) with telemetry on, the span timing it from the last
+/// backward through the gradient exchange.
+pub(crate) struct LastBackward {
+    update: bool,
+    span: Option<SpanGuard>,
+}
+
+/// One rank's sharded SAMO state and the meshes its step talks on.
 pub(crate) struct RankCore {
     pub states: Vec<SamoLayerState>,
     pub opt: Optimizer,
@@ -82,12 +112,18 @@ pub(crate) struct RankCore {
     pub counts: StepCounts,
     /// The data-parallel mesh; this rank's shard index is its rank.
     pub comm: Communicator<Box<dyn Transport>>,
-    /// Where this rank's tensors sit in the whole model: its first
-    /// tensor's index, and the model's tensor count.
-    param_off: usize,
-    total_params: usize,
+    /// The pipeline mesh of this rank's data replica (rank = stage);
+    /// `None` on a data-parallel rank.
+    pub stage: Option<Communicator<InProcTransport>>,
+    /// The dynamic-sparsity schedule, if any ([`Self::remap_step`]).
+    pub schedule: Option<MaskSchedule>,
+    names: &'static StepNames,
+    /// Which of the model's tensors this rank holds, and its shard.
+    place: Place,
     /// `(ring id, layer)` of every ring this step started.
     ring_order: Vec<(u64, usize)>,
+    /// Rank (0,0) only: the `mesh_metrics` aggregation.
+    metrics: MeshMetrics,
     /// Set when a step fails; the rank refuses to step until restored.
     pub poisoned: bool,
 }
@@ -96,43 +132,35 @@ impl RankCore {
     /// Prunes `model`'s parameters in place with `masks` (one per
     /// tensor), keeps this rank's shard of their compressed state, and
     /// writes the f16-rounded values back into `model`. The model's
-    /// tensors are `param_off..` of a `total_params`-tensor model.
+    /// tensors are `off..` of a `total`-tensor model.
     pub fn new(
         model: &mut impl Layer,
         masks: &[Mask],
         opt: &Optimizer,
+        (off, total): (usize, usize),
+        names: &'static StepNames,
         comm: Communicator<Box<dyn Transport>>,
-        param_off: usize,
-        total_params: usize,
+        stage: Option<Communicator<InProcTransport>>,
     ) -> RankCore {
         let (rank, world) = (comm.rank(), comm.world());
-        let params = model.params_mut();
-        assert_eq!(params.len(), masks.len(), "one mask per parameter");
-        let states = params
-            .into_iter()
-            .zip(masks)
-            .map(|(p, mask)| {
-                assert_eq!(
-                    p.numel(),
-                    mask.numel(),
-                    "mask shape mismatch for {}",
-                    p.name
-                );
-                let st = SamoLayerState::from_params(p.value.as_slice(), mask.clone(), opt)
-                    .shard(rank, world);
-                st.write_dense_f32_params_into(p.value.as_mut_slice());
-                st
-            })
-            .collect();
+        let place = Place {
+            off,
+            total,
+            rank,
+            world,
+        };
         RankCore {
-            states,
+            states: build_layers(model, masks.iter().cloned(), opt, place),
             opt: opt.clone(),
             scaler: LossScaler::default(),
             counts: StepCounts::default(),
             comm,
-            param_off,
-            total_params,
+            stage,
+            schedule: None,
+            names,
+            place,
             ring_order: Vec::new(),
+            metrics: MeshMetrics::default(),
             poisoned: false,
         }
     }
@@ -147,16 +175,37 @@ impl RankCore {
         self.states.iter().map(SamoLayerState::nnz).sum()
     }
 
-    /// Backward with the gradient all-reduce overlapped: as each
-    /// parameter group reports its gradient final (reverse execution
-    /// order — identical on every rank, so ring ids line up), compress
-    /// it and start its ring; pump in-flight rings between groups.
-    /// Returns the input gradient.
-    pub fn backward_overlapped(
+    /// Whether this is rank (0,0), which records the group's step
+    /// telemetry and aggregates its `mesh_metrics`.
+    fn is_origin(&self) -> bool {
+        self.comm.rank() == 0 && self.stage.as_ref().is_none_or(|p| p.rank() == 0)
+    }
+
+    /// The step's last backward pass; returns the input gradient. On a
+    /// schedule update step it is a plain backward, since the compressed
+    /// bucket layout is about to be renegotiated and
+    /// [`Self::remap_step`] reduces the dense gradient instead. On any
+    /// other step the gradient all-reduce overlaps it: as each parameter
+    /// group reports its gradient final (reverse execution order —
+    /// identical on every rank, so ring ids line up), compress it and
+    /// start its ring; pump in-flight rings between groups.
+    pub fn backward_last(
         &mut self,
         model: &mut impl Layer,
         dy: &Tensor,
-    ) -> Result<Tensor, CommsError> {
+    ) -> Result<(Tensor, LastBackward), CommsError> {
+        let t = self.counts.index();
+        let update = self.schedule.as_ref().is_some_and(|s| s.is_update_step(t));
+        let name = if update {
+            self.names.remap
+        } else {
+            self.names.backward_allreduce
+        };
+        let span = (telemetry::enabled() && self.is_origin()).then(|| telemetry::span(name));
+        let last = LastBackward { update, span };
+        if update {
+            return Ok((model.backward(dy), last));
+        }
         let RankCore {
             states,
             comm,
@@ -185,37 +234,65 @@ impl RankCore {
                 err = Some(e);
             }
         });
-        err.map_or(Ok(dx), Err)
+        err.map_or(Ok((dx, last)), Err)
     }
 
-    /// Waits for the rings [`Self::backward_overlapped`] started and
-    /// installs each mean into its layer's `∇θ16`.
-    pub fn finish_rings(&mut self) -> Result<(), CommsError> {
-        let states = &mut self.states;
-        install_ring_means(&mut self.comm, &self.ring_order, |i, mean| {
-            states[i].grad16.copy_from_slice(mean)
-        })
-    }
-
-    /// Ends a step on the reduced gradients: feeds the overflow verdict
-    /// to the scaler and counters, then on a good step runs
-    /// [`Self::shard_step`] (timed under `span`, if given) and otherwise
-    /// drops `model`'s gradients. Returns whether the step applied and
-    /// the shard step's seconds.
-    pub fn conclude(
+    /// Ends a step after [`Self::backward_last`]: installs each ring's
+    /// mean into its layer's `∇θ16` (or runs [`Self::remap_step`]),
+    /// takes the overflow verdict, and on a good step runs
+    /// [`Self::shard_step`], otherwise drops `model`'s gradients.
+    ///
+    /// The verdict is this rank's reduced gradient bits, ANDed over the
+    /// stage mesh by a one-element f16 flag all-gather when the rank has
+    /// one: every stage of a replica sees the same flags, and replicas
+    /// agree because their reduced gradients are bitwise identical, so
+    /// every rank's scaler stays in lockstep with no further collective.
+    ///
+    /// With telemetry on, `t0_us` is the step's start on the trace clock:
+    /// rank (0,0) records the step, and every rank relays its duration
+    /// ([`Self::relay_step_metrics`]). Returns whether the step applied
+    /// and, when timed, the step's duration in microseconds.
+    pub fn end_step(
         &mut self,
         model: &mut impl Layer,
-        finite: bool,
-        scale: f32,
-        span: Option<&'static str>,
+        last: LastBackward,
+        t0_us: Option<f64>,
     ) -> Result<(bool, Option<f64>), CommsError> {
-        if !self.counts.verdict(&mut self.scaler, finite) {
-            model.zero_grad();
-            return Ok((false, None));
+        if !last.update {
+            let states = &mut self.states;
+            install_ring_means(&mut self.comm, &self.ring_order, |i, mean| {
+                states[i].grad16.copy_from_slice(mean)
+            })?;
+        } else if self.remap_step(model)? && last.span.is_some() {
+            let name = format!("{}.remap_events", self.names.prefix);
+            telemetry::global().counter(&name).inc();
         }
-        let sp = span.map(telemetry::span);
-        self.shard_step(model, scale)?;
-        Ok((true, sp.map(telemetry::SpanGuard::finish)))
+        let t_comm = last.span.map(SpanGuard::finish);
+        let mut finite = !self.states.iter().any(SamoLayerState::grads_non_finite);
+        if let Some(pipe) = &mut self.stage {
+            let flag = F16::from_f32(if finite { 1.0 } else { 0.0 });
+            let flags = pipe.all_gather_f16(&[flag], &vec![1; pipe.world()])?;
+            finite = flags.iter().all(|f| f.to_f32() == 1.0);
+        }
+        let scale = self.scaler.scale();
+        let record = t0_us.is_some() && self.is_origin();
+        let applied = self.counts.verdict(&mut self.scaler, finite);
+        let mut t_shard = None;
+        if applied {
+            let sp = record.then(|| telemetry::span(self.names.shard_step));
+            self.shard_step(model, scale)?;
+            t_shard = sp.map(SpanGuard::finish);
+        } else {
+            model.zero_grad();
+        }
+        if record {
+            self.record_step(applied, scale, t_comm, t_shard);
+        }
+        let dur_us = t0_us.map(|t0| (comms::trace::now_us() - t0).max(0.0));
+        if let Some(dur_us) = dur_us {
+            self.relay_step_metrics(dur_us);
+        }
+        Ok((applied, dur_us))
     }
 
     /// Steps this rank's optimizer shard of every tensor with the fused
@@ -236,7 +313,8 @@ impl RankCore {
     }
 
     /// The dynamic-sparsity update step, run in place of the overlapped
-    /// compressed rings when `sched` fires; returns whether a mask moved.
+    /// compressed rings when the schedule fires; returns whether a mask
+    /// moved.
     ///
     /// Every rank reduces the f16-narrowed *dense* gradient — bitwise
     /// the values a compressed ring would agree on, and, widened, the
@@ -252,15 +330,16 @@ impl RankCore {
     /// compressed-gradient bucket layout has been renegotiated and any
     /// stale in-flight bucket from the old layout is dropped by every
     /// future receive.
-    pub fn remap_step(
-        &mut self,
-        model: &mut impl Layer,
-        sched: &MaskSchedule,
-    ) -> Result<bool, CommsError> {
+    pub fn remap_step(&mut self, model: &mut impl Layer) -> Result<bool, CommsError> {
         let t = self.counts.index();
         let RankCore {
-            states, comm, opt, ..
+            states,
+            comm,
+            opt,
+            schedule,
+            ..
         } = self;
+        let sched = schedule.as_ref().expect("an update step has a schedule");
         let (rank, world) = (comm.rank(), comm.world());
         let mut moved = false;
         let params = model.params_mut();
@@ -301,41 +380,128 @@ impl RankCore {
         Ok(moved)
     }
 
-    /// Reloads this rank's shard of a full checkpoint into its states
-    /// and `model`, and the scaler and counters from its meta, which it
-    /// returns. Purely local: rejoining the mesh is the caller's part.
-    pub fn restore(
-        &mut self,
-        model: &mut impl Layer,
-        checkpoint: &[u8],
-    ) -> Result<Option<TrainerMeta>, String> {
-        let masks = self.states.iter().map(SamoLayerState::mask);
-        let r = crate::serialize::load_into(
-            checkpoint,
-            &self.opt,
-            self.total_params,
-            self.param_off,
-            masks,
-            model,
-        )?;
-        let (rank, world) = (self.comm.rank(), self.comm.world());
-        for ((st, layer), p) in self.states.iter_mut().zip(r.layers).zip(r.params) {
-            *st = layer.shard(rank, world);
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
+    /// Cold path: rank (0,0)'s step counters, gauges and JSONL line.
+    fn record_step(
+        &self,
+        applied: bool,
+        scale_used: f32,
+        t_comm: Option<f64>,
+        t_shard: Option<f64>,
+    ) {
+        let nnz = self.nnz() as u64;
+        let step_bytes = samo_ring_allreduce_bytes(nnz, self.comm.world() as u64);
+        let prefix = self.names.prefix;
+        telemetry::global()
+            .counter(&format!("{prefix}.allreduce_bytes"))
+            .add(step_bytes);
+        let phases = [("backward_allreduce", t_comm), ("shard_step", t_shard)];
+        record_step_event(
+            prefix,
+            self.scaler.scale(),
+            &telemetry::StepEvent {
+                kind: self.names.kind,
+                step: self.counts.index() - 1,
+                applied,
+                loss_scale: scale_used,
+                steps_taken: self.counts.taken,
+                steps_skipped: self.counts.skipped,
+                numel: self.numel() as u64,
+                nnz,
+                model_state_bytes: self.states.iter().map(|s| s.measured_bytes(true)).sum(),
+                formula_state_bytes: None,
+                allreduce_bytes: step_bytes,
+                phases: phases
+                    .into_iter()
+                    .filter_map(|(n, t)| Some((n, t?)))
+                    .collect(),
+            },
+        );
+    }
+
+    /// Mesh-native metrics relay: every rank ships its step duration
+    /// over the transport to rank (0,0), which folds them into one
+    /// `mesh_metrics` line. Each duration travels as a 16-byte record,
+    /// `stage: u32le | data_idx: u32le | dur_us: f64le`, in two hops:
+    /// stages > 0 send theirs to stage 0 over the stage mesh, and data
+    /// ranks > 0 relay their stage batch to data rank 0 over the data
+    /// mesh (a data-parallel rank has no stage hop). Delivery is best
+    /// effort ([`Communicator::send_telemetry`] never poisons): a lost
+    /// snapshot degrades the report, never the step.
+    fn relay_step_metrics(&mut self, dur_us: f64) {
+        let step = self.counts.index().saturating_sub(1) as u32;
+        let data_idx = self.comm.rank();
+        let (stage, g) = self
+            .stage
+            .as_ref()
+            .map_or((0, 1), |p| (p.rank(), p.world()));
+        let mut batch = [
+            (stage as u32).to_le_bytes(),
+            (data_idx as u32).to_le_bytes(),
+        ]
+        .concat();
+        batch.extend_from_slice(&dur_us.to_le_bytes());
+        if let Some(pipe) = &mut self.stage {
+            if stage > 0 {
+                pipe.send_telemetry(0, stage as u64, step, batch);
+                return;
+            }
+            for s in 1..g {
+                if let Some(b) = pipe.recv_telemetry(s, s as u64, step, pipe.timeout()) {
+                    batch.extend_from_slice(&b);
+                }
+            }
         }
-        self.counts.restore(&mut self.scaler, r.meta);
-        Ok(r.meta)
+        let data = &mut self.comm;
+        if data_idx > 0 {
+            data.send_telemetry(0, data_idx as u64, step, batch);
+            return;
+        }
+        for d in 1..data.world() {
+            if let Some(b) = data.recv_telemetry(d, d as u64, step, data.timeout()) {
+                batch.extend_from_slice(&b);
+            }
+        }
+        let word = |c: &[u8], at: usize| {
+            u32::from_le_bytes(c[at..at + 4].try_into().expect("a 4-byte field"))
+        };
+        let ranks: Vec<_> = batch
+            .chunks_exact(16)
+            .map(|c| {
+                let dur = f64::from_le_bytes(c[8..].try_into().expect("an 8-byte field"));
+                (word(c, 0) as usize, word(c, 4) as usize, dur)
+            })
+            .collect();
+        let grid = (g, data.world());
+        self.metrics.emit(self.names.group, grid, step, &ranks);
+    }
+
+    /// Re-joins the group after a restore: a fresh epoch on every mesh
+    /// the rank talks on (discarding stale in-flight traffic), then a
+    /// barrier on each. Every rank barriers stage-then-data, and the
+    /// meshes are disjoint, so the order cannot deadlock.
+    pub fn rejoin(&mut self) -> Result<(), String> {
+        if let Some(pipe) = &mut self.stage {
+            pipe.bump_epoch();
+        }
+        self.comm.bump_epoch();
+        if let Some(pipe) = &mut self.stage {
+            pipe.barrier()
+                .map_err(|e| format!("post-restore pipeline barrier failed: {e}"))?;
+        }
+        self.comm
+            .barrier()
+            .map_err(|e| format!("post-restore data barrier failed: {e}"))?;
+        if telemetry::enabled() && self.is_origin() {
+            let name = format!("{}.recoveries", self.names.prefix);
+            telemetry::global().counter(&name).inc();
+        }
+        Ok(())
     }
 }
 
 /// A rank whose step duration exceeds this multiple of the step median
 /// is reported as a straggler by the `mesh_metrics` aggregation.
 pub const STRAGGLER_FACTOR: f64 = 1.5;
-
-/// One rank's step duration as it reaches the aggregating rank: its
-/// flat index, its labelled coordinates in the group, and microseconds.
-pub(crate) type RankDuration = (usize, Vec<(&'static str, u64)>, f64);
 
 /// The aggregating rank's fold of the step durations every rank ships
 /// over the mesh: rolling per-rank means, straggler warnings (above
@@ -348,16 +514,26 @@ pub(crate) struct MeshMetrics {
 }
 
 impl MeshMetrics {
-    /// Folds one step's durations — one per snapshot that arrived, since
+    /// Folds one step's `(stage, data_idx, dur_us)` durations of a
+    /// `stages × datas` grid — one per snapshot that arrived, since
     /// delivery is best-effort — and emits the aggregated line. Entries
-    /// indexed outside `world` are malformed and dropped. `runtime`
-    /// names the group in straggler warnings.
-    pub fn emit(&mut self, runtime: &str, world: usize, step: u32, ranks: &[RankDuration]) {
+    /// outside the grid are malformed and dropped. `group` names the
+    /// runtime in straggler warnings.
+    pub fn emit(
+        &mut self,
+        group: &str,
+        (stages, datas): (usize, usize),
+        step: u32,
+        ranks: &[(usize, usize, f64)],
+    ) {
         use telemetry::json::Json;
-        if self.sums.len() != world {
-            self.sums = vec![(0.0, 0); world];
+        if self.sums.len() != stages * datas {
+            self.sums = vec![(0.0, 0); stages * datas];
         }
-        let ranks: Vec<&RankDuration> = ranks.iter().filter(|r| r.0 < world).collect();
+        let ranks: Vec<_> = ranks
+            .iter()
+            .filter(|r| r.0 < stages && r.1 < datas)
+            .collect();
         let mut sorted: Vec<f64> = ranks.iter().map(|r| r.2).collect();
         if sorted.is_empty() {
             return;
@@ -366,14 +542,16 @@ impl MeshMetrics {
         let median = sorted[sorted.len() / 2];
         let mut per_rank = Vec::with_capacity(ranks.len());
         let mut stragglers = Vec::new();
-        for &&(idx, ref coords, dur) in &ranks {
-            let ids = || coords.iter().map(|&(k, v)| (k.to_string(), Json::UInt(v)));
-            let cell = &mut self.sums[idx];
+        for &&(s, d, dur) in &ranks {
+            let ids =
+                || [("stage", s), ("data", d)].map(|(k, v)| (k.to_string(), Json::UInt(v as u64)));
+            let cell = &mut self.sums[d * stages + s];
             cell.0 += dur;
             cell.1 += 1;
             let mean = cell.0 / cell.1 as f64;
             per_rank.push(Json::Obj(
                 ids()
+                    .into_iter()
                     .chain([
                         ("dur_us".into(), Json::Num(dur)),
                         ("mean_us".into(), Json::Num(mean)),
@@ -381,14 +559,13 @@ impl MeshMetrics {
                     .collect(),
             ));
             if ranks.len() > 1 && dur > STRAGGLER_FACTOR * median {
-                let who: Vec<String> = coords.iter().map(|(k, v)| format!("{k} {v}")).collect();
                 telemetry::log_warn!(
-                    "{runtime} straggler: {} step {step} took {dur:.0}us ({:.2}x step median)",
-                    who.join(" "),
+                    "{group} straggler: stage {s} data {d} step {step} took {dur:.0}us ({:.2}x step median)",
                     dur / median
                 );
                 stragglers.push(Json::Obj(
                     ids()
+                        .into_iter()
                         .chain([("ratio".into(), Json::Num(dur / median))])
                         .collect(),
                 ));
@@ -412,11 +589,6 @@ pub(crate) trait ShardedRank: Send + 'static {
     type Model: Layer;
 
     fn parts(&mut self) -> (&mut Self::Model, &mut RankCore);
-
-    /// Re-joins the group after a restore: a fresh epoch on every mesh
-    /// the rank talks on (discarding stale in-flight traffic), then a
-    /// barrier on each.
-    fn rejoin(&mut self) -> Result<(), String>;
 }
 
 type Job<R> = Box<dyn FnOnce(&mut R) + Send>;
@@ -607,13 +779,15 @@ impl<R: ShardedRank> RankGroup<R> {
         let ck = Arc::new(checkpoint.to_vec());
         let restored = self.run(move |r| {
             let (model, core) = r.parts();
-            let meta = core.restore(model, &ck)?;
-            let nnz = core.nnz();
+            let (opt, place) = (&core.opt, core.place);
+            let states = &mut core.states;
+            let (counts, scaler) = (&mut core.counts, &mut core.scaler);
+            let meta = restore_layers(&ck, opt, place, states, model, counts, scaler)?;
             // Every rank restores together, so epochs advance in
             // lockstep; a failed barrier leaves the rank poisoned.
-            let res = r.rejoin();
-            r.parts().1.poisoned = res.is_err();
-            res.map(|()| (meta, nnz))
+            let res = core.rejoin();
+            core.poisoned = res.is_err();
+            res.map(|()| (meta, core.nnz()))
         })?;
         self.counts.restore(&mut self.scaler, restored[0].0);
         self.nnz = restored[..self.stages].iter().map(|r| r.1).sum();

@@ -9,7 +9,8 @@
 //! inside backward ([`Layer::backward_with_ready`]), so communication
 //! overlaps the rest of the backward pass exactly as on a real cluster.
 //! The rank core and thread host are shared with the pipeline runtime
-//! (`crate::rank`).
+//! (`crate::rank`): a rank here is stage 0 of a one-stage grid, and the
+//! core ends its every step exactly as it ends a stage rank's.
 //!
 //! # Bitwise equivalence with the single-process trainer
 //!
@@ -31,17 +32,15 @@
 //! checkpoint on every rank, bumps the comms epoch (discarding stale
 //! in-flight traffic), and barriers the group back together.
 
-use crate::rank::{
-    assert_replicas_agree, MeshMetrics, RankCore, RankDuration, RankGroup, ShardedRank,
-};
+use crate::rank::{assert_replicas_agree, RankCore, RankGroup, ShardedRank, StepNames};
 use crate::state::SamoLayerState;
-use crate::trainer::{record_step_event, samo_ring_allreduce_bytes};
-use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
+use crate::trainer::samo_ring_allreduce_bytes;
+use comms::{Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::Layer;
 use nn::mixed::{LossScaler, Optimizer};
 use prune::{Mask, MaskSchedule};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tensor::Tensor;
 
 /// Per-rank transport statistics, via [`ThreadedDataParallelSamo::comm_stats`].
@@ -55,13 +54,19 @@ pub struct CommStats {
     pub msgs_dropped: u64,
 }
 
+const NAMES: StepNames = StepNames {
+    prefix: "samo.dp_threaded",
+    kind: "samo_dp_threaded",
+    group: "data-parallel",
+    backward_allreduce: "samo.dp_threaded.backward_allreduce",
+    remap: "samo.dp_threaded.remap",
+    shard_step: "samo.dp_threaded.shard_step",
+};
+
 /// Everything one rank thread owns.
 struct Rank<M> {
     model: M,
     core: RankCore,
-    schedule: Option<MaskSchedule>,
-    /// Rank 0 only: the `mesh_metrics` aggregation.
-    metrics: MeshMetrics,
 }
 
 impl<M: Layer + Send + 'static> ShardedRank for Rank<M> {
@@ -69,150 +74,6 @@ impl<M: Layer + Send + 'static> ShardedRank for Rank<M> {
 
     fn parts(&mut self) -> (&mut M, &mut RankCore) {
         (&mut self.model, &mut self.core)
-    }
-
-    fn rejoin(&mut self) -> Result<(), String> {
-        let comm = &mut self.core.comm;
-        comm.bump_epoch();
-        comm.barrier()
-            .map_err(|e| format!("post-restore barrier failed: {e}"))?;
-        if telemetry::enabled() && comm.rank() == 0 {
-            telemetry::global()
-                .counter("samo.dp_threaded.recoveries")
-                .inc();
-        }
-        Ok(())
-    }
-}
-
-impl<M: Layer> Rank<M> {
-    fn step(&mut self, f: &impl Fn(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
-        // Telemetry once per group, from rank 0's thread. The metrics
-        // relay below runs on *every* rank when telemetry is on.
-        let rank = self.core.comm.rank();
-        let t_step0 = telemetry::enabled().then(Instant::now);
-        let tel = telemetry::enabled() && rank == 0;
-        let scale_used = self.core.scaler.scale();
-        let dy = f(rank, &mut self.model, scale_used);
-
-        let update = self
-            .schedule
-            .as_ref()
-            .is_some_and(|s| s.is_update_step(self.core.counts.index()));
-        let t_comm = if update {
-            // Dynamic-sparsity update step: the compressed bucket layout
-            // is about to be renegotiated, so skip the overlapped
-            // compressed rings — run a plain backward, reduce the
-            // *dense* f16 gradient, remap, and install the reduced
-            // compressed gradient for the (possibly new) mask.
-            let sp = tel.then(|| telemetry::span("samo.dp_threaded.remap"));
-            let _ = self.model.backward(&dy);
-            let sched = self
-                .schedule
-                .as_ref()
-                .expect("an update step has a schedule");
-            if self.core.remap_step(&mut self.model, sched)? && tel {
-                telemetry::global()
-                    .counter("samo.dp_threaded.remap_events")
-                    .inc();
-            }
-            sp.map(telemetry::SpanGuard::finish)
-        } else {
-            let sp = tel.then(|| telemetry::span("samo.dp_threaded.backward_allreduce"));
-            self.core.backward_overlapped(&mut self.model, &dy)?;
-            self.core.finish_rings()?;
-            sp.map(telemetry::SpanGuard::finish)
-        };
-
-        let finite = !self
-            .core
-            .states
-            .iter()
-            .any(SamoLayerState::grads_non_finite);
-        let span = tel.then_some("samo.dp_threaded.shard_step");
-        let (applied, t_shard) = self
-            .core
-            .conclude(&mut self.model, finite, scale_used, span)?;
-        if tel {
-            self.record_step(applied, scale_used, t_comm, t_shard);
-        }
-        if let Some(t0) = t_step0 {
-            self.relay_step_metrics(t0);
-        }
-        Ok(applied)
-    }
-
-    /// Mesh-native metrics relay: every rank ships its step wall time
-    /// over the transport to rank 0, which folds them into one
-    /// `mesh_metrics` line. Delivery is best-effort — a lost snapshot
-    /// degrades the report, never the step.
-    fn relay_step_metrics(&mut self, t0: Instant) {
-        let dur_us = t0.elapsed().as_secs_f64() * 1e6;
-        let step = self.core.counts.index().saturating_sub(1) as u32;
-        let comm = &mut self.core.comm;
-        let rank = comm.rank();
-        if rank != 0 {
-            comm.send_telemetry(0, rank as u64, step, dur_us.to_le_bytes().to_vec());
-            return;
-        }
-        let world = comm.world();
-        let wait = comm.timeout();
-        let mut durs: Vec<RankDuration> = vec![(0, vec![("rank", 0)], dur_us)];
-        for r in 1..world {
-            if let Some(b) = comm.recv_telemetry(r, r as u64, step, wait) {
-                if let Ok(bytes) = <[u8; 8]>::try_from(&b[..]) {
-                    durs.push((r, vec![("rank", r as u64)], f64::from_le_bytes(bytes)));
-                }
-            }
-        }
-        self.metrics.emit("data-parallel", world, step, &durs);
-    }
-
-    fn stats(&self) -> CommStats {
-        let t = self.core.comm.transport();
-        CommStats {
-            wire_bytes: t.bytes_sent(),
-            model_allreduce_bytes: self.core.comm.model_allreduce_bytes(),
-            msgs_dropped: t.msgs_dropped(),
-        }
-    }
-
-    /// Cold path: rank 0's metric/JSONL bookkeeping for one step.
-    fn record_step(
-        &self,
-        applied: bool,
-        scale_used: f32,
-        t_comm: Option<f64>,
-        t_shard: Option<f64>,
-    ) {
-        let core = &self.core;
-        let nnz = core.nnz() as u64;
-        let step_bytes = samo_ring_allreduce_bytes(nnz, core.comm.world() as u64);
-        telemetry::global()
-            .counter("samo.dp_threaded.allreduce_bytes")
-            .add(step_bytes);
-        let phases = [("backward_allreduce", t_comm), ("shard_step", t_shard)];
-        record_step_event(
-            "samo.dp_threaded",
-            core.scaler.scale(),
-            &telemetry::StepEvent {
-                kind: "samo_dp_threaded",
-                step: core.counts.index() - 1,
-                applied,
-                loss_scale: scale_used,
-                steps_taken: core.counts.taken,
-                steps_skipped: core.counts.skipped,
-                numel: core.numel() as u64,
-                nnz,
-                model_state_bytes: core.states.iter().map(|s| s.measured_bytes(true)).sum(),
-                formula_state_bytes: None,
-                allreduce_bytes: step_bytes,
-                phases: phases
-                    .into_iter()
-                    .filter_map(|(n, t)| Some((n, t?)))
-                    .collect(),
-            },
-        );
     }
 }
 
@@ -283,13 +144,9 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
                 );
                 let comm =
                     Communicator::new(Box::new(t) as Box<dyn Transport>).with_timeout(timeout);
-                let core = RankCore::new(&mut model, &masks, &opt, comm, 0, masks.len());
-                let rk = Rank {
-                    model,
-                    core,
-                    schedule: None,
-                    metrics: MeshMetrics::default(),
-                };
+                let place = (0, masks.len());
+                let core = RankCore::new(&mut model, &masks, &opt, place, &NAMES, comm, None);
+                let rk = Rank { model, core };
                 (format!("samo-dp-rank{rank}"), format!("rank {rank}"), rk)
             })
             .collect();
@@ -358,7 +215,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// the same schedule on replicated data.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
         self.group
-            .run_all(move |r| r.schedule = Some(schedule.clone()));
+            .run_all(move |r| r.core.schedule = Some(schedule.clone()));
     }
 
     /// Runs one concurrent training step: every rank thread executes
@@ -371,7 +228,13 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         &mut self,
         f: impl Fn(usize, &mut M, f32) -> Tensor + Send + Sync + 'static,
     ) -> Result<bool, String> {
-        let applied = self.group.step(move |r| r.step(&f))?;
+        let applied = self.group.step(move |r| {
+            let t0_us = telemetry::enabled().then(comms::trace::now_us);
+            let core = &mut r.core;
+            let dy = f(core.comm.rank(), &mut r.model, core.scaler.scale());
+            let (_, last) = core.backward_last(&mut r.model, &dy)?;
+            Ok(core.end_step(&mut r.model, last, t0_us)?.0)
+        })?;
         self.allreduce_bytes +=
             samo_ring_allreduce_bytes(self.group.nnz as u64, self.group.len() as u64);
         Ok(applied)
@@ -394,7 +257,14 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// Per-rank transport statistics (wire bytes, modeled ring bytes,
     /// fault-dropped messages), in rank order.
     pub fn comm_stats(&mut self) -> Vec<CommStats> {
-        self.group.run_all(|r| r.stats())
+        self.group.run_all(|r| {
+            let comm = &r.core.comm;
+            CommStats {
+                wire_bytes: comm.transport().bytes_sent(),
+                model_allreduce_bytes: comm.model_allreduce_bytes(),
+                msgs_dropped: comm.transport().msgs_dropped(),
+            }
+        })
     }
 
     /// Runs `f` on rank `rank`'s thread with exclusive access to its

@@ -1,6 +1,7 @@
 //! End-to-end training integration: SAMO-compressed training and the
 //! dense masked baseline it must be numerically equivalent to, plus the
-//! compressed data-parallel gradient all-reduce (paper Sec. IV-A).
+//! byte model of the compressed data-parallel gradient all-reduce (paper
+//! Sec. IV-A).
 //!
 //! [`SamoTrainer`] holds the one unsharded SAMO step: remap → compress →
 //! verdict → scaler → optimizer. A data-parallel runtime reuses it and
@@ -67,6 +68,95 @@ impl StepCounts {
     }
 }
 
+/// Where a holder of compressed layers sits: tensors `off..` of a
+/// `total`-tensor model, each kept as ZeRO shard `rank` of `world`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Place {
+    pub off: usize,
+    pub total: usize,
+    pub rank: usize,
+    pub world: usize,
+}
+
+impl Place {
+    /// Every tensor of an `n`-tensor model, unsharded.
+    pub fn whole(n: usize) -> Place {
+        Place {
+            off: 0,
+            total: n,
+            rank: 0,
+            world: 1,
+        }
+    }
+
+    /// This place's shard of an unsharded layer (the layer itself at
+    /// `world = 1`).
+    fn keep(self, layer: SamoLayerState) -> SamoLayerState {
+        if self.world == 1 {
+            layer
+        } else {
+            layer.shard(self.rank, self.world)
+        }
+    }
+}
+
+/// Prunes `model`'s parameters in place with `masks`, one per tensor in
+/// `params()` order: builds each tensor's compressed state, keeps
+/// `place`'s shard of it, and writes the pruned, f16-rounded values back
+/// into `model` — forward and backward run on widened θ16.
+pub(crate) fn build_layers(
+    model: &mut impl Layer,
+    masks: impl ExactSizeIterator<Item = Mask>,
+    opt: &Optimizer,
+    place: Place,
+) -> Vec<SamoLayerState> {
+    let params = model.params_mut();
+    assert_eq!(
+        params.len(),
+        masks.len(),
+        "need exactly one mask per parameter tensor"
+    );
+    let layers = params.into_iter().zip(masks).map(|(p, mask)| {
+        assert_eq!(
+            p.numel(),
+            mask.numel(),
+            "mask shape mismatch for {}",
+            p.name
+        );
+        let st = place.keep(SamoLayerState::from_params(p.value.as_slice(), mask, opt));
+        st.write_dense_f32_params_into(p.value.as_mut_slice());
+        st
+    });
+    layers.collect()
+}
+
+/// Reloads `layers` (held at `place`) and `model`'s parameters from
+/// `checkpoint`, zeroing the model's gradients, then `counts` and
+/// `scaler` from its meta, which it returns. A structural mismatch is an
+/// `Err` that leaves everything untouched (see
+/// `crate::serialize::load_into`).
+pub(crate) fn restore_layers(
+    checkpoint: &[u8],
+    opt: &Optimizer,
+    place: Place,
+    layers: &mut Vec<SamoLayerState>,
+    model: &mut impl Layer,
+    counts: &mut StepCounts,
+    scaler: &mut LossScaler,
+) -> Result<Option<TrainerMeta>, String> {
+    let masks = layers.iter().map(SamoLayerState::mask);
+    let r = crate::serialize::load_into(checkpoint, opt, place.total, place.off, masks, model)?;
+    let restored = r.layers.into_iter().zip(r.params).map(|(layer, p)| {
+        let st = place.keep(layer);
+        st.write_dense_f32_params_into(p.value.as_mut_slice());
+        p.zero_grad();
+        st
+    });
+    *layers = restored.collect();
+    counts.restore(scaler, r.meta);
+    Ok(r.meta)
+}
+
 /// How the replicas of a data-parallel group agree on gradients — the
 /// one thing a runtime adds to [`SamoTrainer`]'s step.
 pub(crate) trait GradExchange {
@@ -130,23 +220,9 @@ impl SamoTrainer {
     /// per parameter tensor (in `model.params()` order). The model's
     /// parameters are immediately pruned in place.
     pub fn new(model: &mut impl Layer, masks: Vec<Mask>, opt: Optimizer) -> SamoTrainer {
-        let params = model.params_mut();
-        assert_eq!(
-            params.len(),
-            masks.len(),
-            "need exactly one mask per parameter tensor"
-        );
-        let mut layers = Vec::with_capacity(params.len());
-        for (p, mask) in params.into_iter().zip(masks) {
-            assert_eq!(p.numel(), mask.numel(), "mask shape mismatch for {}", p.name);
-            let st = SamoLayerState::from_params(p.value.as_slice(), mask, &opt);
-            // Load the (pruned, fp16-rounded) parameters back into the
-            // compute model — forward/backward run on widened θ16.
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            layers.push(st);
-        }
+        let place = Place::whole(masks.len());
         SamoTrainer {
-            layers,
+            layers: build_layers(model, masks.into_iter(), &opt, place),
             opt,
             scaler: LossScaler::default(),
             counts: StepCounts::default(),
@@ -239,21 +315,22 @@ impl SamoTrainer {
     /// v2 checkpoint the loss-scaler state and step counters are
     /// restored too; a legacy v1 buffer leaves them untouched.
     pub fn restore(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
-        let masks = self.layers.iter().map(SamoLayerState::mask);
-        let r =
-            crate::serialize::load_into(checkpoint, &self.opt, self.layers.len(), 0, masks, model)?;
-        for (p, st) in r.params.into_iter().zip(&r.layers) {
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        self.layers = r.layers;
+        let place = Place::whole(self.layers.len());
+        restore_layers(
+            checkpoint,
+            &self.opt,
+            place,
+            &mut self.layers,
+            model,
+            &mut self.counts,
+            &mut self.scaler,
+        )?;
         if self.schedule.is_some() {
             // The restored layers are fresh allocations without remap
             // headroom; rebuild the scratch (and re-reserve) so future
             // remap events stay allocation-free.
             self.prime_remap_scratch();
         }
-        self.counts.restore(&mut self.scaler, r.meta);
         if telemetry::enabled() {
             telemetry::global().counter("samo.ckpt.recoveries").inc();
         }
@@ -652,25 +729,6 @@ pub fn grad_l2_norm(model: &impl Layer) -> f64 {
     sum.sqrt()
 }
 
-/// In-place mean all-reduce over per-replica compressed fp16 gradient
-/// buffers (one buffer per data-parallel rank) — the collective SAMO
-/// issues instead of a dense `φ`-sized all-reduce (paper Sec. IV-A).
-/// All buffers end up holding the mean.
-///
-/// Delegates to [`comms::reference::allreduce_mean_f16`], the exact-sum
-/// sequential oracle: the chunked ring all-reduce in `comms` computes
-/// the same function bit-for-bit, which is what lets the threaded
-/// data-parallel runtime match the in-process one exactly.
-///
-/// Degenerate inputs are rejected instead of reduced nonsensically: an
-/// empty replica set is a no-op `Ok` (a zero-rank collective has no
-/// defined mean but also nothing to corrupt), while mismatched buffer
-/// lengths — ranks disagreeing about the compressed layout — are a real
-/// collective error and return `Err`.
-pub fn allreduce_mean_f16(replicas: &mut [&mut [F16]]) -> Result<(), String> {
-    comms::reference::allreduce_mean_f16(replicas).map_err(|e| e.to_string())
-}
-
 /// Message bytes of a dense fp16 gradient all-reduce for `phi` params
 /// (flat payload model, Eq. 9: every parameter crosses the wire once).
 pub fn dense_allreduce_bytes(phi: u64) -> u64 {
@@ -998,22 +1056,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_mean_is_elementwise_mean() {
-        let mut a = vec![F16::from_f32(1.0), F16::from_f32(4.0)];
-        let mut b = vec![F16::from_f32(3.0), F16::from_f32(0.0)];
-        {
-            let mut bufs: Vec<&mut [F16]> = vec![&mut a, &mut b];
-            allreduce_mean_f16(&mut bufs).unwrap();
-        }
-        assert_eq!(a[0].to_f32(), 2.0);
-        assert_eq!(a[1].to_f32(), 2.0);
-        assert_eq!(b[0].to_f32(), 2.0);
-        assert_eq!(b[1].to_f32(), 2.0);
-    }
-
-    #[test]
     fn allreduce_on_compressed_equals_compress_of_allreduce() {
         use crate::compressed::{compress_f16, expand_f16};
+        use comms::reference::allreduce_mean_f16;
         let mask = prune::random_prune(&[64], 0.8, 13);
         let d1: Vec<F16> = (0..64).map(|i| F16::from_f32(i as f32 * 0.5)).collect();
         let d2: Vec<F16> = (0..64).map(|i| F16::from_f32(32.0 - i as f32)).collect();
@@ -1035,22 +1080,6 @@ mod tests {
         }
         let cref = compress_f16(&e1, &mask);
         assert_eq!(c1, cref);
-    }
-
-    #[test]
-    fn allreduce_rejects_degenerate_inputs() {
-        // Empty replica set: nothing to reduce, explicit no-op.
-        let mut none: Vec<&mut [F16]> = vec![];
-        assert!(allreduce_mean_f16(&mut none).is_ok());
-
-        // Mismatched compressed layouts are a collective error.
-        let mut a = vec![F16::from_f32(1.0); 4];
-        let mut b = vec![F16::from_f32(1.0); 3];
-        let a_before = a.clone();
-        let mut bufs: Vec<&mut [F16]> = vec![&mut a, &mut b];
-        let err = allreduce_mean_f16(&mut bufs).unwrap_err();
-        assert!(err.contains("length mismatch"), "{err}");
-        assert_eq!(a, a_before, "failed allreduce must not write");
     }
 
     #[test]

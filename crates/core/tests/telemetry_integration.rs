@@ -1,13 +1,21 @@
 //! End-to-end telemetry: training steps must produce counters, span
 //! timings, and `metrics.jsonl` lines whose byte accounting matches the
-//! paper's closed-form model-state size.
+//! paper's closed-form model-state size; the thread-per-rank runtimes
+//! must write one step line and one mesh-aggregated `mesh_metrics` line
+//! per step.
 
-use nn::layer::Layer;
+use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
 use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
+use prune::Mask;
+use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
+use samo::threaded::ThreadedDataParallelSamo;
 use samo::trainer::{dense_formula_state_bytes, formula_state_bytes, SamoTrainer};
+use std::path::PathBuf;
+use std::sync::OnceLock;
+use telemetry::json::Json;
 use tensor::Tensor;
 
 fn adam() -> Optimizer {
@@ -17,14 +25,34 @@ fn adam() -> Optimizer {
     })
 }
 
+/// The `metrics.jsonl` every test in this binary writes to: the sink
+/// opens once per process, on the first emit after this routes it to a
+/// scratch directory.
+fn metrics_jsonl() -> &'static PathBuf {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("telemetry-integration-{}", std::process::id()));
+        std::env::set_var("SAMO_RESULTS_DIR", &dir);
+        dir.join("metrics.jsonl")
+    })
+}
+
+/// Every `metrics.jsonl` record of `kind` so far. The file is shared by
+/// every test in the binary, so tests select their records by kind.
+/// Flushes first, so telemetry must still be enabled.
+fn records(kind: &str) -> Vec<Json> {
+    telemetry::jsonl::flush();
+    let data = std::fs::read_to_string(metrics_jsonl()).unwrap_or_default();
+    data.lines()
+        .map(|l| Json::parse(l).expect("valid jsonl line"))
+        .filter(|r| r.get("kind") == Some(&Json::from(kind)))
+        .collect()
+}
+
 #[test]
 fn samo_steps_record_counters_spans_and_jsonl() {
-    // Route the JSONL sink to a scratch directory. The sink opens
-    // lazily on first emit, which only happens inside this test binary
-    // while the flag below is set.
-    let tmp = std::env::temp_dir().join(format!("samo-telemetry-test-{}", std::process::id()));
-    std::env::set_var("SAMO_RESULTS_DIR", &tmp);
-
+    metrics_jsonl();
     let _guard = telemetry::registry::test_lock();
     telemetry::set_enabled(true);
     telemetry::take_spans();
@@ -42,7 +70,7 @@ fn samo_steps_record_counters_spans_and_jsonl() {
         model.backward(&dy);
         trainer.step(&mut model);
     }
-    telemetry::jsonl::flush();
+    let lines = records("samo");
     telemetry::set_enabled(false);
 
     // Counters: every applied/skipped step is accounted for.
@@ -74,8 +102,6 @@ fn samo_steps_record_counters_spans_and_jsonl() {
 
     // JSONL: one line per step with the formula matching the measured
     // bytes (Adam: 2φ + 24·nnz).
-    let data = std::fs::read_to_string(tmp.join("metrics.jsonl")).unwrap();
-    let lines: Vec<&str> = data.lines().collect();
     assert_eq!(lines.len(), steps as usize);
     let phi = trainer.numel() as u64;
     let nnz = trainer.nnz() as u64;
@@ -83,18 +109,9 @@ fn samo_steps_record_counters_spans_and_jsonl() {
     assert_eq!(formula, 2 * phi + 24 * nnz);
     assert_eq!(formula, trainer.model_state_bytes(true));
     for line in &lines {
-        assert!(line.starts_with("{\"kind\":\"samo\""), "line: {line}");
-        assert!(
-            line.contains(&format!("\"model_state_bytes\":{formula}")),
-            "line: {line}"
-        );
-        assert!(
-            line.contains(&format!("\"formula_state_bytes\":{formula}")),
-            "line: {line}"
-        );
+        assert_eq!(line.get("model_state_bytes"), Some(&Json::UInt(formula)));
+        assert_eq!(line.get("formula_state_bytes"), Some(&Json::UInt(formula)));
     }
-
-    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 #[test]
@@ -125,6 +142,132 @@ fn disabled_telemetry_adds_no_metrics() {
     model.backward(&dy);
     trainer.step(&mut model);
 
-    assert_eq!(telemetry::global().counter("samo.steps_taken").get(), before);
+    assert_eq!(
+        telemetry::global().counter("samo.steps_taken").get(),
+        before
+    );
     assert_eq!(telemetry::span::collected_span_count(), 0);
+}
+
+fn build_model(layers: u64, seed: u64) -> Sequential {
+    let mut m = Sequential::new();
+    for i in 0..layers {
+        m = m
+            .push(Linear::new(6, 6, true, seed + i))
+            .push(nn::activations::Gelu::new());
+    }
+    m
+}
+
+fn masks_for(model: &Sequential) -> Vec<Mask> {
+    let shapes = model.params().into_iter().map(|p| p.value.shape().to_vec());
+    let masks = shapes.enumerate().map(|(i, shape)| match shape.len() {
+        1 => Mask::dense(&shape),
+        _ => prune::random_prune(&shape, 0.5, 40 + i as u64),
+    });
+    masks.collect()
+}
+
+/// The loss-scaled mse gradient of `y` against a seeded target.
+fn loss_grad(y: &Tensor, seed: u64, scale: f32) -> Tensor {
+    let target = Tensor::randn(y.shape(), 1.0, seed);
+    let (_, mut dy) = mse(y, &target);
+    tensor::ops::scale(scale, dy.as_mut_slice());
+    dy
+}
+
+/// The `(stage, data)` of every `per_rank` entry of one `mesh_metrics`
+/// line; panics if an entry lacks either coordinate.
+fn mesh_coords(line: &Json) -> Vec<(u64, u64)> {
+    let Some(Json::Arr(per_rank)) = line.get("per_rank") else {
+        panic!("mesh_metrics line without per_rank: {line:?}");
+    };
+    let coord = |e: &Json, k: &str| match e.get(k) {
+        Some(Json::UInt(v)) => *v,
+        other => panic!("per_rank entry {e:?} has {k} = {other:?}"),
+    };
+    per_rank
+        .iter()
+        .map(|e| (coord(e, "stage"), coord(e, "data")))
+        .collect()
+}
+
+#[test]
+fn data_parallel_steps_write_a_step_line_and_a_mesh_line_each() {
+    metrics_jsonl();
+    let _guard = telemetry::registry::test_lock();
+    telemetry::set_enabled(true);
+    let (steps0, mesh0) = (
+        records("samo_dp_threaded").len(),
+        records("mesh_metrics").len(),
+    );
+
+    let replicas: Vec<Sequential> = (0..2).map(|_| build_model(2, 50)).collect();
+    let masks = masks_for(&replicas[0]);
+    let mut dp = ThreadedDataParallelSamo::new(replicas, masks, adam());
+    let steps = 3;
+    for step in 0..steps {
+        dp.step(move |rank, model, scale| {
+            let x = Tensor::randn(&[4, 6], 1.0, 60 + 10 * step + rank as u64);
+            let y = model.forward(&x);
+            loss_grad(&y, 160 + 10 * step + rank as u64, scale)
+        })
+        .expect("healthy step");
+    }
+    let lines = records("samo_dp_threaded").split_off(steps0);
+    let mesh = records("mesh_metrics").split_off(mesh0);
+    telemetry::set_enabled(false);
+
+    let step_of = |l: &Json| l.get("step").cloned();
+    let want: Vec<_> = (0..steps).map(|s| Some(Json::UInt(s))).collect();
+    assert_eq!(lines.iter().map(step_of).collect::<Vec<_>>(), want);
+    assert_eq!(mesh.iter().map(step_of).collect::<Vec<_>>(), want);
+    // A data-parallel rank is stage 0 of a one-stage grid.
+    for line in &mesh {
+        assert_eq!(mesh_coords(line), [(0, 0), (0, 1)], "{line:?}");
+    }
+}
+
+#[test]
+fn pipeline_steps_write_a_step_line_and_a_mesh_line_each() {
+    metrics_jsonl();
+    let _guard = telemetry::registry::test_lock();
+    telemetry::set_enabled(true);
+    let (steps0, mesh0) = (
+        records("samo_pipeline").len(),
+        records("mesh_metrics").len(),
+    );
+
+    let model = build_model(2, 70);
+    let masks = masks_for(&model);
+    let cfg = PipelineConfig::new(2, 3, 4);
+    let mut pipe = ThreadedPipelineSamo::new(vec![model], masks, adam(), cfg);
+    let steps = 3;
+    for step in 0..steps {
+        pipe.step(
+            move |_, mb| Tensor::randn(&[4, 6], 1.0, 80 + 10 * step + mb as u64),
+            move |_, mb, y, scale| loss_grad(y, 180 + 10 * step + mb as u64, scale),
+        )
+        .expect("healthy step");
+    }
+    let lines = records("samo_pipeline").split_off(steps0);
+    let mesh = records("mesh_metrics").split_off(mesh0);
+    telemetry::set_enabled(false);
+
+    let step_of = |l: &Json| l.get("step").cloned();
+    let want: Vec<_> = (0..steps).map(|s| Some(Json::UInt(s))).collect();
+    assert_eq!(lines.iter().map(step_of).collect::<Vec<_>>(), want);
+    assert_eq!(mesh.iter().map(step_of).collect::<Vec<_>>(), want);
+    for line in &mesh {
+        assert_eq!(mesh_coords(line), [(0, 0), (1, 0)], "{line:?}");
+    }
+    // Rank (0,0) records its own stage's measured state bytes.
+    let bytes: u64 = pipe.with_rank(0, 0, |_, states| {
+        states.iter().map(|s| s.measured_bytes(true)).sum()
+    });
+    let gauge = telemetry::global().gauge("samo.pipeline.model_state_bytes");
+    assert_eq!(gauge.get(), bytes as f64);
+    for line in &lines {
+        assert_eq!(line.get("model_state_bytes"), Some(&Json::UInt(bytes)));
+    }
 }

@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepEvent {
     /// Which trainer produced the event: `samo`, `dense_masked`,
-    /// `samo_dp_threaded`.
+    /// `samo_dp_threaded`, `samo_pipeline`.
     pub kind: &'static str,
     /// 0-based index of this `step()` call (applied or skipped).
     pub step: u64,

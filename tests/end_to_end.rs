@@ -3,6 +3,7 @@
 //! transformer scale and data-parallel gradient synchronization on
 //! compressed tensors.
 
+use comms::reference::allreduce_mean_f16;
 use models::tiny::{TinyGpt, TinyGptConfig};
 use nn::data::Corpus;
 use nn::layer::Layer;
@@ -12,7 +13,7 @@ use nn::optim::AdamConfig;
 use prune::Mask;
 use rand::SeedableRng;
 use samo::compressed::compress_f32;
-use samo::trainer::{allreduce_mean_f16, DenseMaskedTrainer, SamoTrainer};
+use samo::trainer::{DenseMaskedTrainer, SamoTrainer};
 
 fn tiny_cfg() -> TinyGptConfig {
     TinyGptConfig {
