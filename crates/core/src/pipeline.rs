@@ -76,9 +76,7 @@
 //! in-flight traffic) and barriers the group back together.
 
 pub use crate::rank::STRAGGLER_FACTOR;
-use crate::rank::{
-    assert_replicas_agree, LastBackward, RankCore, RankGroup, ShardedRank, StepNames,
-};
+use crate::rank::{assert_replicas_agree, RankCore, RankGroup, ShardedRank, StepNames};
 use crate::state::SamoLayerState;
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::{Layer, Sequential};
@@ -335,7 +333,6 @@ impl StageRank {
         let mut fwd_done = 0usize;
         let mut bwd_done = 0usize;
         let mut last_progress = Instant::now();
-        let mut last_bwd = None;
         while bwd_done < m {
             let mut progressed = false;
 
@@ -353,7 +350,7 @@ impl StageRank {
                     .transpose()?
             };
             if let Some(dy) = dy {
-                last_bwd = self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step, tel)?;
+                self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step, tel)?;
                 bwd_done += 1;
                 progressed = true;
             }
@@ -410,8 +407,7 @@ impl StageRank {
         self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
         self.stats.last_sched_end_us = comms::trace::now_us();
 
-        let last_bwd = last_bwd.expect("the loop ends on the last microbatch's backward");
-        let (applied, dur_us) = self.core.end_step(&mut self.block, last_bwd, win0)?;
+        let (applied, dur_us) = self.core.end_step(&mut self.block, win0)?;
         if let (Some(ts), Some(dur)) = (win0, dur_us) {
             let group = self.lane - (self.data_idx * self.cfg.g_inter + self.stage) as u64;
             trace::record_step_window(self.lane, group, u64::from(step), ts, dur);
@@ -447,7 +443,7 @@ impl StageRank {
         last_mb: bool,
         step: u32,
         tel: bool,
-    ) -> Result<Option<LastBackward>, CommsError> {
+    ) -> Result<(), CommsError> {
         let ts = tel.then(comms::trace::now_us);
         let t0 = Instant::now();
         if self.cfg.force_recompute || self.cache_mb != Some(mb) {
@@ -465,11 +461,10 @@ impl StageRank {
         // becomes final as its layer finishes backward: the core
         // compresses it and starts its ring at once, overlapping the
         // backward tail.
-        let (dx, last) = if last_mb {
-            let (dx, last) = self.core.backward_last(&mut self.block, dy)?;
-            (dx, Some(last))
+        let dx = if last_mb {
+            self.core.backward_last(&mut self.block, dy)?
         } else {
-            (self.block.backward(dy), None)
+            self.block.backward(dy)
         };
         self.cache_mb = None;
         let dt = t0.elapsed().as_secs_f64();
@@ -482,7 +477,7 @@ impl StageRank {
             self.pipe()
                 .send_p2p(to, p2p_id(mb, DIR_GRAD), step, dx.as_slice().to_vec())?;
         }
-        Ok(last)
+        Ok(())
     }
 
     fn stats(&self) -> StageStats {

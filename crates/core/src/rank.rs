@@ -95,15 +95,6 @@ pub(crate) struct StepNames {
     pub shard_step: &'static str,
 }
 
-/// A step between [`RankCore::backward_last`] and
-/// [`RankCore::end_step`]: whether it is a schedule update step, and on
-/// rank (0,0) with telemetry on, the span timing it from the last
-/// backward through the gradient exchange.
-pub(crate) struct LastBackward {
-    update: bool,
-    span: Option<SpanGuard>,
-}
-
 /// One rank's sharded SAMO state and the meshes its step talks on.
 pub(crate) struct RankCore {
     pub states: Vec<SamoLayerState>,
@@ -122,6 +113,12 @@ pub(crate) struct RankCore {
     place: Place,
     /// `(ring id, layer)` of every ring this step started.
     ring_order: Vec<(u64, usize)>,
+    /// Whether this step is a schedule update step; set by
+    /// [`Self::backward_last`], read by [`Self::end_step`].
+    update: bool,
+    /// Rank (0,0) with telemetry on: the span timing this step from
+    /// its last backward through the gradient exchange.
+    exchange_span: Option<SpanGuard>,
     /// Rank (0,0) only: the `mesh_metrics` aggregation.
     metrics: MeshMetrics,
     /// Set when a step fails; the rank refuses to step until restored.
@@ -160,6 +157,8 @@ impl RankCore {
             names,
             place,
             ring_order: Vec::new(),
+            update: false,
+            exchange_span: None,
             metrics: MeshMetrics::default(),
             poisoned: false,
         }
@@ -193,7 +192,7 @@ impl RankCore {
         &mut self,
         model: &mut impl Layer,
         dy: &Tensor,
-    ) -> Result<(Tensor, LastBackward), CommsError> {
+    ) -> Result<Tensor, CommsError> {
         let t = self.counts.index();
         let update = self.schedule.as_ref().is_some_and(|s| s.is_update_step(t));
         let name = if update {
@@ -201,10 +200,11 @@ impl RankCore {
         } else {
             self.names.backward_allreduce
         };
-        let span = (telemetry::enabled() && self.is_origin()).then(|| telemetry::span(name));
-        let last = LastBackward { update, span };
+        self.update = update;
+        self.exchange_span =
+            (telemetry::enabled() && self.is_origin()).then(|| telemetry::span(name));
         if update {
-            return Ok((model.backward(dy), last));
+            return Ok(model.backward(dy));
         }
         let RankCore {
             states,
@@ -234,7 +234,10 @@ impl RankCore {
                 err = Some(e);
             }
         });
-        err.map_or(Ok((dx, last)), Err)
+        err.map_or(Ok(dx), |e| {
+            self.exchange_span = None; // a failed step ends its span here
+            Err(e)
+        })
     }
 
     /// Ends a step after [`Self::backward_last`]: installs each ring's
@@ -255,19 +258,19 @@ impl RankCore {
     pub fn end_step(
         &mut self,
         model: &mut impl Layer,
-        last: LastBackward,
         t0_us: Option<f64>,
     ) -> Result<(bool, Option<f64>), CommsError> {
-        if !last.update {
+        let exchange = self.exchange_span.take();
+        if !self.update {
             let states = &mut self.states;
             install_ring_means(&mut self.comm, &self.ring_order, |i, mean| {
                 states[i].grad16.copy_from_slice(mean)
             })?;
-        } else if self.remap_step(model)? && last.span.is_some() {
+        } else if self.remap_step(model)? && telemetry::enabled() && self.is_origin() {
             let name = format!("{}.remap_events", self.names.prefix);
             telemetry::global().counter(&name).inc();
         }
-        let t_comm = last.span.map(SpanGuard::finish);
+        let t_comm = exchange.map(SpanGuard::finish);
         let mut finite = !self.states.iter().any(SamoLayerState::grads_non_finite);
         if let Some(pipe) = &mut self.stage {
             let flag = F16::from_f32(if finite { 1.0 } else { 0.0 });

@@ -232,8 +232,8 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
             let t0_us = telemetry::enabled().then(comms::trace::now_us);
             let core = &mut r.core;
             let dy = f(core.comm.rank(), &mut r.model, core.scaler.scale());
-            let (_, last) = core.backward_last(&mut r.model, &dy)?;
-            Ok(core.end_step(&mut r.model, last, t0_us)?.0)
+            core.backward_last(&mut r.model, &dy)?;
+            Ok(core.end_step(&mut r.model, t0_us)?.0)
         })?;
         self.allreduce_bytes +=
             samo_ring_allreduce_bytes(self.group.nnz as u64, self.group.len() as u64);

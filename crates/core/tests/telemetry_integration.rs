@@ -226,6 +226,10 @@ fn data_parallel_steps_write_a_step_line_and_a_mesh_line_each() {
     for line in &mesh {
         assert_eq!(mesh_coords(line), [(0, 0), (0, 1)], "{line:?}");
     }
+    // Join the rank threads, then drain the spans rank (0,0) recorded so
+    // the shared collector is empty for the next test to take the lock.
+    drop(dp);
+    telemetry::take_spans();
 }
 
 #[test]
@@ -270,4 +274,6 @@ fn pipeline_steps_write_a_step_line_and_a_mesh_line_each() {
     for line in &lines {
         assert_eq!(line.get("model_state_bytes"), Some(&Json::UInt(bytes)));
     }
+    drop(pipe);
+    telemetry::take_spans();
 }
